@@ -22,11 +22,9 @@ from .chains import (
     ScalarFunction,
     Trace,
     TransitionKernel,
-    counting_kernel,
     identity_kernel,
     indicator_function,
     lazify,
-    lift_to_trace_average,
     make_cycle,
     make_cycle_function,
     make_two_state_uniform,
@@ -36,7 +34,6 @@ from .chains import (
     project_function,
     run_trace,
     tensor_product,
-    trace_chain,
 )
 from .coloring import (
     CountResult,

@@ -1,15 +1,16 @@
 """Adaptive mean estimation with a doubling schedule over paired chains.
 
-Three entry points, layered:
+One estimator loop with two entry points on top of it:
 
 * ``mcmc_pro`` runs two independent copies of a chain on a fixed doubling
   schedule, maintains the paired-chain variance estimate with its upper
   confidence bound, and stops at the first iteration whose data-dependent
-  Bernstein radius meets the target.
-* ``dynamite`` lifts the problem onto a trace chain whose relaxation time is
-  at most 2 (trace length T = ceil((1+L)/(1-L) ln sqrt 2)), averaging f along
-  traces so the estimator tracks the inter-trace variance instead of the
-  stationary variance.
+  Bernstein radius meets the target.  With ``trace_length`` T each sample is
+  the mean of f over a block of T consecutive base steps (a batch mean), so
+  the estimator tracks the inter-trace variance instead of the stationary
+  variance; the schedule uses lambda_bound**T, which bounds the blocks.
+* ``dynamite`` picks T = ceil((1+L)/(1-L) ln sqrt 2), which brings the
+  relaxation time of the block sequence to at most 2, and runs ``mcmc_pro``.
 * ``warm_start`` starts from an arbitrary supported state, advances the
   paired chain for a uniform-mixing warm-up, then runs ``dynamite`` with the
   failure budget tightened to delta/4 as the nonstationarity correction.
@@ -21,12 +22,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from typing import Optional
 
 import numpy as np
 
-from .chains import ScalarFunction, TransitionKernel, _pad_trace, lift_to_trace_average, trace_chain
+from .chains import ScalarFunction, TransitionKernel
 from .estimators import (
     ConcentrationParams,
     PairedEvaluations,
@@ -114,10 +114,9 @@ class IterationRecord:
 class EstimateReport:
     """Full audit trail of one adaptive run.
 
-    ``total_base_steps`` counts both paired chains and, for trace-chain runs,
-    the T-fold expansion of every trace sample, plus any warm-up steps.
-    ``duration_seconds`` is informational only and excluded from equality and
-    from the JSON rendering so reruns are reproducible byte for byte.
+    ``total_base_steps`` counts both paired chains, T base steps for every
+    block sample, plus any warm-up steps.  ``lambda_bound`` is the bound the
+    schedule used: the caller's bound raised to the trace length T.
     """
 
     estimate: float
@@ -132,7 +131,6 @@ class EstimateReport:
     trace_length: int
     function_range: tuple
     schedule: Optional[Schedule]
-    duration_seconds: float = dataclasses.field(compare=False, default=0.0)
 
     def to_json(self) -> dict:
         return {
@@ -158,12 +156,12 @@ class EstimateReport:
         }
 
 
-def _degenerate_report(f, seed, epsilon, delta, lambda_bound, trace_length, warmup_steps):
+def _degenerate_report(f, seed, epsilon, delta, lambda_bound, trace_length):
     return EstimateReport(
         estimate=float(f.lo),
         iterations=(),
-        total_base_steps=warmup_steps,
-        warmup_steps=warmup_steps,
+        total_base_steps=0,
+        warmup_steps=0,
         termination=DEGENERATE_RANGE,
         seed=seed,
         epsilon=epsilon,
@@ -184,21 +182,26 @@ def mcmc_pro(
     delta: float,
     seed: int,
     *,
-    _warmup_steps: int = 0,
-    _trace_length: int = 1,
+    trace_length: int = 1,
 ) -> EstimateReport:
     """Progressive paired-chain estimation with a variance-adaptive stopping rule.
 
     The initial pair must be drawn from the stationary law of the paired chain
     (``warm_start`` discharges that contract) and ``lambda_bound`` must upper
-    bound the kernel's second absolute eigenvalue.  Returns the running mean at
-    the first iteration whose radius meets ``epsilon``, or at the last
+    bound the kernel's second absolute eigenvalue.  Each sample is the mean of
+    f over ``trace_length`` consecutive base steps; the blocks form a chain
+    whose second absolute eigenvalue is at most lambda_bound**trace_length,
+    and that is the bound the schedule and the radii use.  Returns the running
+    mean at the first iteration whose radius meets ``epsilon``, or at the last
     scheduled iteration regardless.
     """
-    started = time.perf_counter()
+    if trace_length < 1:
+        raise ValueError(f"trace length must be >= 1, got {trace_length}")
+    t = trace_length
+    block_lambda = lambda_bound ** t
     if f.value_range == 0:
-        return _degenerate_report(f, seed, epsilon, delta, lambda_bound, _trace_length, _warmup_steps)
-    schedule = build_schedule(f.value_range, epsilon, lambda_bound, delta)
+        return _degenerate_report(f, seed, epsilon, delta, block_lambda, t)
+    schedule = build_schedule(f.value_range, epsilon, block_lambda, delta)
     rng_a = stream(seed, CHAIN_A)
     rng_b = stream(seed, CHAIN_B)
     state_a, state_b = initial_pair
@@ -209,21 +212,21 @@ def mcmc_pro(
     records = []
     termination = SCHEDULE_EXHAUSTED
     previous = 0
-    for i, m_i in enumerate(schedule.sizes, start=1):
+    for m_i in schedule.sizes:
         grow = m_i - previous
-        path_a = kernel.path(state_a, grow, rng_a)
-        path_b = kernel.path(state_b, grow, rng_b)
+        path_a = kernel.path(state_a, grow * t, rng_a)
+        path_b = kernel.path(state_b, grow * t, rng_b)
         state_a = path_a[-1]
         state_b = path_b[-1]
-        chunks_a.append(f.values(path_a))
-        chunks_b.append(f.values(path_b))
+        chunks_a.append(f.values(path_a).reshape(grow, t).mean(axis=1))
+        chunks_b.append(f.values(path_b).reshape(grow, t).mean(axis=1))
         previous = m_i
 
         paired = PairedEvaluations(
             np.concatenate(chunks_a), np.concatenate(chunks_b), stream_a=CHAIN_A, stream_b=CHAIN_B
         )
         params = ConcentrationParams(
-            lambda_bound=lambda_bound,
+            lambda_bound=block_lambda,
             value_range=f.value_range,
             delta_prime=schedule.delta_prime,
             m=m_i,
@@ -241,22 +244,21 @@ def mcmc_pro(
     return EstimateReport(
         estimate=last.mean,
         iterations=tuple(records),
-        total_base_steps=_warmup_steps + 2 * last.m * kernel.base_steps_per_step,
-        warmup_steps=_warmup_steps,
+        total_base_steps=2 * last.m * t * kernel.base_steps_per_step,
+        warmup_steps=0,
         termination=termination,
         seed=seed,
         epsilon=epsilon,
         delta=delta,
-        lambda_bound=lambda_bound,
-        trace_length=_trace_length,
+        lambda_bound=block_lambda,
+        trace_length=t,
         function_range=(f.lo, f.hi),
         schedule=schedule,
-        duration_seconds=time.perf_counter() - started,
     )
 
 
 def select_trace_length(lambda_bound: float) -> int:
-    """Trace length making the trace chain's relaxation time at most 2."""
+    """Trace length bringing the block chain's relaxation time to at most 2."""
     if not 0.0 <= lambda_bound < 1.0:
         raise ValueError(f"lambda bound must lie in [0, 1), got {lambda_bound}")
     return max(1, math.ceil((1 + lambda_bound) / (1 - lambda_bound) * LN_SQRT2 - _CEIL_NUDGE))
@@ -270,36 +272,17 @@ def dynamite(
     epsilon: float,
     delta: float,
     seed: int,
-    *,
-    _warmup_steps: int = 0,
 ) -> EstimateReport:
-    """Trace-chain wrapper: average f along length-T traces, then run mcmc_pro.
+    """Trace averaging: run mcmc_pro on blocks of T = select_trace_length(L) steps.
 
     The initial pair must be stationary for the base chain and the chain must
-    be lazy.  The trace states are padded with copies of the provided samples;
-    the padding never enters any estimate because the first trace-chain step
-    regenerates the whole trace from the last coordinate.  The eigenvalue
-    bound handed down is lambda_bound**T, which is conservative for the trace
-    chain.  With lambda_bound == 0 the trace length degenerates to 1 and this
+    be lazy.  With lambda_bound == 0 the trace length degenerates to 1 and this
     is exactly mcmc_pro on the base chain.
     """
     if not kernel.is_lazy:
         raise ValueError(f"trace averaging needs a lazy chain, got {kernel.name!r}")
     t = select_trace_length(lambda_bound)
-    x0, x1 = initial_pair
-    traced = trace_chain(kernel, t)
-    report = mcmc_pro(
-        (_pad_trace(x0, t), _pad_trace(x1, t)),
-        traced,
-        lambda_bound ** t,
-        lift_to_trace_average(f, t),
-        epsilon,
-        delta,
-        seed,
-        _warmup_steps=_warmup_steps,
-        _trace_length=t,
-    )
-    return report
+    return mcmc_pro(initial_pair, kernel, lambda_bound, f, epsilon, delta, seed, trace_length=t)
 
 
 def uniform_mixing_steps(lambda_bound: float, pi_min: float) -> int:
@@ -321,7 +304,7 @@ def warm_start(
     delta: float,
     seed: int,
 ) -> EstimateReport:
-    """Nonstationary start: warm the paired chain up, then run the trace-chain stack.
+    """Nonstationary start: warm the paired chain up, then run ``dynamite``.
 
     ``pi_min`` must lower bound the minimum stationary probability; after
     tau_unif = ceil(ln(1/pi_min)/ln(1/Lambda)) paired steps from (start, start)
@@ -338,13 +321,6 @@ def warm_start(
         path0 = kernel.path(x0, tau_unif, rng_w)
         path1 = kernel.path(x1, tau_unif, rng_w)
         x0, x1 = path0[-1], path1[-1]
-    return dynamite(
-        (x0, x1),
-        kernel,
-        lambda_bound,
-        f,
-        epsilon,
-        delta / 4.0,
-        seed,
-        _warmup_steps=2 * tau_unif * kernel.base_steps_per_step,
-    )
+    report = dynamite((x0, x1), kernel, lambda_bound, f, epsilon, delta / 4.0, seed)
+    warmup = 2 * tau_unif * kernel.base_steps_per_step
+    return dataclasses.replace(report, warmup_steps=warmup, total_base_steps=report.total_base_steps + warmup)

@@ -9,7 +9,6 @@ small instances; the samplers never require them.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -20,7 +19,7 @@ from .rng import as_generator
 
 ROW_SUM_TOL = 1e-12
 LUMPABILITY_TOL = 1e-9
-TRACE_MATRIX_CAP = 4096  # max enumerated trace-chain states
+PRODUCT_MATRIX_CAP = 4096  # max states of an enumerated pair-chain matrix
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,8 +37,8 @@ class TransitionKernel:
             or None when no bound is claimed.
         sample_path: optional vectorised ``(state, k, rng) -> k states``.
         base_steps_per_step: how many steps of the underlying base chain one
-            step of this kernel consumes (T for a trace chain over length-T
-            traces, 1 otherwise).  Used for honest step accounting.
+            step of this kernel consumes (2 for a pair chain, 1 otherwise).
+            Used for honest step accounting.
         validate_start: optional predicate raising on invalid start states.
         serialize_state: state -> JSON-compatible value.
     """
@@ -136,9 +135,8 @@ class ScalarFunction:
 
     def __call__(self, state) -> float:
         v = float(self.fn(state))
-        assert self.lo - 1e-12 <= v <= self.hi + 1e-12, (
-            f"function {self.name!r} returned {v} outside [{self.lo}, {self.hi}]"
-        )
+        if not self.lo - 1e-12 <= v <= self.hi + 1e-12:
+            raise ValueError(f"function {self.name!r} returned {v} outside [{self.lo}, {self.hi}]")
         return v
 
     def values(self, states) -> np.ndarray:
@@ -147,9 +145,8 @@ class ScalarFunction:
             out = np.asarray(self.batch(np.asarray(states)), dtype=float)
         else:
             out = np.array([float(self.fn(s)) for s in states], dtype=float)
-        assert out.size == 0 or (
-            out.min() >= self.lo - 1e-12 and out.max() <= self.hi + 1e-12
-        ), f"function {self.name!r} left its declared range"
+        if out.size and not (out.min() >= self.lo - 1e-12 and out.max() <= self.hi + 1e-12):
+            raise ValueError(f"function {self.name!r} left its declared range")
         return out
 
 
@@ -325,7 +322,7 @@ def tensor_product(kernel: TransitionKernel) -> TransitionKernel:
         return (kernel.sample(x, rng), kernel.sample(y, rng))
 
     matrix = None
-    if kernel.matrix is not None and kernel.matrix.shape[0] ** 2 <= TRACE_MATRIX_CAP:
+    if kernel.matrix is not None and kernel.matrix.shape[0] ** 2 <= PRODUCT_MATRIX_CAP:
         matrix = np.kron(kernel.matrix, kernel.matrix)
 
     def validate(state):
@@ -344,101 +341,6 @@ def tensor_product(kernel: TransitionKernel) -> TransitionKernel:
         validate_start=validate,
         serialize_state=lambda s: [kernel.serialize_state(s[0]), kernel.serialize_state(s[1])],
     )
-
-
-def _pad_trace(state, T: int):
-    if isinstance(state, np.ndarray):
-        return np.repeat(state[None, ...], T, axis=0)
-    if np.isscalar(state) or isinstance(state, (int, np.integer)):
-        return np.full(T, int(state), dtype=np.int64)
-    return tuple(state for _ in range(T))
-
-
-def trace_chain(kernel: TransitionKernel, T: int) -> TransitionKernel:
-    """Chain over length-T traces: one step regenerates an entire trace.
-
-    From trace a the next trace b is b1 ~ M(a_T, .), b_{i+1} ~ M(b_i, .), so k
-    consecutive steps are exactly k*T base steps chunked into blocks of T.
-    The stationary law draws the first coordinate from pi and lets the rest
-    follow the base transitions, and the second absolute eigenvalue is at most
-    the base bound raised to the T-th power.
-    """
-    if T < 1:
-        raise ValueError(f"trace length T must be >= 1, got {T}")
-
-    def last_of(trace):
-        if isinstance(trace, np.ndarray):
-            return trace[-1] if trace.ndim > 1 else int(trace[-1])
-        return trace[-1]
-
-    def sample(trace, rng):
-        path = kernel.path(last_of(trace), T, rng)
-        if isinstance(path, np.ndarray):
-            return path
-        return tuple(path)
-
-    def sample_path(trace, k, rng):
-        path = kernel.path(last_of(trace), k * T, rng)
-        if isinstance(path, np.ndarray):
-            return path.reshape((k, T) + path.shape[1:])
-        return [tuple(path[j * T:(j + 1) * T]) for j in range(k)]
-
-    matrix = None
-    trace_states = None
-    if kernel.matrix is not None and kernel.matrix.shape[0] ** T <= TRACE_MATRIX_CAP:
-        m = kernel.matrix
-        trace_states = list(itertools.product(range(m.shape[0]), repeat=T))
-        matrix = np.zeros((len(trace_states), len(trace_states)))
-        for a_idx, a in enumerate(trace_states):
-            for b_idx, b in enumerate(trace_states):
-                p = m[a[-1], b[0]]
-                for t in range(T - 1):
-                    p *= m[b[t], b[t + 1]]
-                matrix[a_idx, b_idx] = p
-
-    def validate(trace):
-        if len(trace) != T:
-            raise ValueError(f"trace state must have length {T}, got {len(trace)}")
-        for s in trace:
-            kernel.check_start(s)
-
-    lam = None if kernel.lambda_bound is None else kernel.lambda_bound ** T
-    tk = TransitionKernel(
-        name=f"{kernel.name}^({T})",
-        sample=sample,
-        matrix=None,
-        is_lazy=False,
-        is_reversible=False,
-        lambda_bound=lam,
-        sample_path=sample_path,
-        base_steps_per_step=T * kernel.base_steps_per_step,
-        validate_start=validate,
-        serialize_state=lambda tr: [kernel.serialize_state(s) for s in tr],
-    )
-    # Attach the enumerated matrix out of band: trace states are tuples, not
-    # integer indices, so the matrix is oracle material rather than sampler input.
-    object.__setattr__(tk, "trace_matrix", matrix)
-    object.__setattr__(tk, "trace_states", trace_states)
-    return tk
-
-
-def lift_to_trace_average(f: ScalarFunction, T: int) -> ScalarFunction:
-    """Average of f along a length-T trace; keeps the declared range."""
-    if T < 1:
-        raise ValueError(f"trace length T must be >= 1, got {T}")
-
-    def fn(trace):
-        return float(np.mean([f(s) for s in trace]))
-
-    def batch(traces):
-        arr = np.asarray(traces)
-        if arr.ndim >= 2:
-            k, t = arr.shape[0], arr.shape[1]
-            flat = arr.reshape((k * t,) + arr.shape[2:])
-            return f.values(flat).reshape(k, t).mean(axis=1)
-        return np.array([fn(tr) for tr in traces], dtype=float)
-
-    return ScalarFunction(fn=fn, lo=f.lo, hi=f.hi, batch=batch, name=f"avg{T}({f.name})")
 
 
 def lazify(kernel: TransitionKernel) -> TransitionKernel:
@@ -529,49 +431,3 @@ def project_function(f: ScalarFunction, classes: Sequence[Sequence[int]]) -> Sca
         batch=lambda xs: table[np.asarray(xs, dtype=int)],
         name=f"proj({f.name})",
     )
-
-
-# ---------------------------------------------------------------------------
-# instrumentation
-
-
-class StepCounter:
-    """Tally of base-chain steps consumed through a counting wrapper."""
-
-    def __init__(self):
-        self.count = 0
-
-
-def counting_kernel(kernel: TransitionKernel):
-    """Wrap a kernel so every sampled step increments a shared counter.
-
-    Wrap the base chain before building trace chains on top of it and the
-    counter reports true base-step consumption.
-    """
-    counter = StepCounter()
-    per = kernel.base_steps_per_step
-
-    def sample(state, rng):
-        counter.count += per
-        return kernel.sample(state, rng)
-
-    sample_path = None
-    if kernel.sample_path is not None:
-        def sample_path(state, k, rng):
-            counter.count += k * per
-            return kernel.sample_path(state, k, rng)
-
-    wrapped = TransitionKernel(
-        name=f"counted({kernel.name})",
-        sample=sample,
-        n_states=kernel.n_states,
-        matrix=kernel.matrix,
-        is_lazy=kernel.is_lazy,
-        is_reversible=kernel.is_reversible,
-        lambda_bound=kernel.lambda_bound,
-        sample_path=sample_path,
-        base_steps_per_step=per,
-        validate_start=kernel.validate_start,
-        serialize_state=kernel.serialize_state,
-    )
-    return wrapped, counter

@@ -11,10 +11,9 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 guard rejection (size or
 ergodicity), 4 statistical-run failure.
 
-All outputs are pure functions of (flags, files, seed); wall-clock columns
-and report durations are the one deliberate exception and are therefore kept
-out of the JSON renderings (the CSV keeps its wall_clock_s column, documented
-as non-reproducible).  Relative output paths resolve against the
+All outputs are pure functions of (flags, files, seed); the bench-compare
+CSV's wall_clock_s column is the one deliberate exception, documented as
+non-reproducible.  Relative output paths resolve against the
 ``DYNAMITE_OUT_DIR`` environment variable when it is set.
 
 JSON layouts are frozen by golden tests:
@@ -22,7 +21,7 @@ JSON layouts are frozen by golden tests:
 * estimate: {config, reports: [EstimateReport...], aggregate}
 * EstimateReport: estimate, termination, seed, epsilon, delta, lambda_bound,
   trace_length, function_range, total_base_steps, warmup_steps, schedule,
-  iterations (run durations are intentionally omitted).
+  iterations.
 * count-colorings: CountResult plus optional {exact, relative_error}.
 * graph files: {"n": int, "edges": [[u, v], ...]} with 0-indexed vertices.
 """
@@ -36,7 +35,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -147,32 +145,31 @@ def _stationary_pair(summary, rng):
     return int(rng.choice(len(pi), p=pi)), int(rng.choice(len(pi), p=pi))
 
 
-def _run_replicate(method, kernel, f, lam, summary, args, rep_index):
-    rep_seed = child_seed(args.seed, REPLICATE, rep_index)
-    rng = stream(args.seed, REPLICATE, rep_index)
+def _run_method(method, kernel, f, lam, summary, epsilon, delta, seed, rng, start=None) -> dict:
+    """One seeded estimate by ``method``, rendered as an EstimateReport payload.
+
+    ``rng`` draws the stationary start pair; ``start`` is the warm-start state.
+    """
     if method == "warm-start":
-        start = args.start if args.start is not None else 0
-        report = warm_start(start, kernel, lam, summary.pi_min, f, args.epsilon, args.delta, rep_seed)
+        report = warm_start(0 if start is None else start, kernel, lam, summary.pi_min, f, epsilon, delta, seed)
         return report.to_json()
     if method in ("mcmc-pro", "dynamite"):
-        pair = _stationary_pair(summary, rng)
         fn = mcmc_pro if method == "mcmc-pro" else dynamite
-        report = fn(pair, kernel, lam, f, args.epsilon, args.delta, rep_seed)
-        return report.to_json()
+        return fn(_stationary_pair(summary, rng), kernel, lam, f, epsilon, delta, seed).to_json()
     if method in ("static-hoeffding", "static-bernstein"):
-        params = ConcentrationParams(lambda_bound=lam, value_range=f.value_range, delta_prime=args.delta, m=1)
+        params = ConcentrationParams(lambda_bound=lam, value_range=f.value_range, delta_prime=delta, m=1)
         if method == "static-hoeffding":
-            m = hoeffding_sample_complexity(params, args.epsilon)
+            m = hoeffding_sample_complexity(params, epsilon)
         else:
-            m = bernstein_sample_complexity(params, summary.stationary_variance, args.epsilon)
+            m = bernstein_sample_complexity(params, summary.stationary_variance, epsilon)
         start = _stationary_pair(summary, rng)[0]
-        est = static_estimate(kernel, f, m, start, stream(rep_seed, 0))
+        est = static_estimate(kernel, f, m, start, stream(seed, 0))
         return {
             "estimate": est,
             "termination": "static",
-            "seed": rep_seed,
-            "epsilon": args.epsilon,
-            "delta": args.delta,
+            "seed": seed,
+            "epsilon": epsilon,
+            "delta": delta,
             "lambda_bound": lam,
             "trace_length": 1,
             "function_range": [f.lo, f.hi],
@@ -189,12 +186,11 @@ def cmd_estimate(args) -> int:
     f = _build_function(args, kernel)
     summary = summarize(kernel, f)
     lam = _lambda_for(args, kernel, f)
-    indices = range(args.replicates)
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            reports = list(pool.map(lambda r: _run_replicate(args.method, kernel, f, lam, summary, args, r), indices))
-    else:
-        reports = [_run_replicate(args.method, kernel, f, lam, summary, args, r) for r in indices]
+    reports = [
+        _run_method(args.method, kernel, f, lam, summary, args.epsilon, args.delta,
+                    child_seed(args.seed, REPLICATE, r), stream(args.seed, REPLICATE, r), args.start)
+        for r in range(args.replicates)
+    ]
     true_mean = summary.mean
     errors = [abs(rep["estimate"] - true_mean) for rep in reports]
     payload = {
@@ -308,29 +304,12 @@ def _planted_problem(name, seed, epsilon, delta):
 
 
 def _bench_cycle_row(problem, method, batch_seed):
-    kernel, f, summary = problem["kernel"], problem["f"], problem["summary"]
-    lam = summary.second_eigenvalue
-    eps, dlt = problem["epsilon"], problem["delta"]
-    rng = stream(batch_seed, REPLICATE)
+    summary = problem["summary"]
     started = time.perf_counter()
-    if method in ("mcmc-pro", "dynamite"):
-        pair = _stationary_pair(summary, rng)
-        fn = mcmc_pro if method == "mcmc-pro" else dynamite
-        report = fn(pair, kernel, lam, f, eps, dlt, batch_seed)
-        est, steps = report.estimate, report.total_base_steps
-    elif method in ("static-hoeffding", "static-bernstein"):
-        params = ConcentrationParams(lambda_bound=lam, value_range=f.value_range, delta_prime=dlt, m=1)
-        m = (
-            hoeffding_sample_complexity(params, eps)
-            if method == "static-hoeffding"
-            else bernstein_sample_complexity(params, summary.stationary_variance, eps)
-        )
-        start = _stationary_pair(summary, rng)[0]
-        est, steps = static_estimate(kernel, f, m, start, stream(batch_seed, 0)), m
-    else:
-        raise ConfigError(f"method {method!r} not applicable to cycle problems")
-    err = abs(est - summary.mean)
-    return steps, err, float(err <= problem["tolerance"]), time.perf_counter() - started
+    out = _run_method(method, problem["kernel"], problem["f"], summary.second_eigenvalue, summary,
+                      problem["epsilon"], problem["delta"], batch_seed, stream(batch_seed, REPLICATE))
+    err = abs(out["estimate"] - summary.mean)
+    return out["total_base_steps"], err, float(err <= problem["tolerance"]), time.perf_counter() - started
 
 
 def _bench_count_row(problem, method, batch_seed):
@@ -420,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--start", type=int, default=None, help="start state for warm-start")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_estimate)
 

@@ -6,7 +6,8 @@ The variance estimator follows the two-chain construction
 
 which is unbiased for the stationary variance of f when both traces start at
 stationarity; no Bessel correction is available for dependent samples.  The
-same estimator applied to a trace chain estimates the inter-trace variance.
+same estimator applied to length-T block means estimates the inter-trace
+variance.
 """
 from __future__ import annotations
 

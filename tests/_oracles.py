@@ -2,11 +2,15 @@
 
 Everything here deliberately avoids the library's closed forms: stationary
 vectors come from a null-space solve, autocovariances and trace variances
-from explicit path enumeration, so agreement is a genuine cross-check.
+from explicit path enumeration, trace-chain matrices from enumerating trace
+pairs, and step counts from a wrapper that tallies every sampled step, so
+agreement is a genuine cross-check.
 """
 import itertools
 
 import numpy as np
+
+import dynamite as dm
 
 
 def stationary_nullspace(matrix):
@@ -79,3 +83,60 @@ def trace_chain_stationary(matrix, pi, horizon):
             w *= m[a, b]
         out[idx] = w
     return states, out
+
+
+def trace_chain_matrix(matrix, horizon):
+    """Transition matrix of the chain over length-T traces, by enumeration.
+
+    From trace a the next trace b has probability M(a_T, b_1) prod M(b_i, b_{i+1});
+    rows and columns follow ``itertools.product`` order, as in
+    ``trace_chain_stationary``.
+    """
+    m = np.asarray(matrix, dtype=float)
+    states = list(itertools.product(range(m.shape[0]), repeat=horizon))
+    last = np.array([a[-1] for a in states])
+    out = np.empty((len(states), len(states)))
+    for b_idx, b in enumerate(states):
+        w = 1.0
+        for x, y in zip(b, b[1:]):
+            w *= m[x, y]
+        out[:, b_idx] = m[last, b[0]] * w
+    return out
+
+
+class StepCounter:
+    """Tally of base-chain steps consumed through a counting wrapper."""
+
+    def __init__(self):
+        self.count = 0
+
+
+def counting_kernel(kernel):
+    """Wrap a kernel so every sampled step increments a shared counter."""
+    counter = StepCounter()
+    per = kernel.base_steps_per_step
+
+    def sample(state, rng):
+        counter.count += per
+        return kernel.sample(state, rng)
+
+    sample_path = None
+    if kernel.sample_path is not None:
+        def sample_path(state, k, rng):
+            counter.count += k * per
+            return kernel.sample_path(state, k, rng)
+
+    wrapped = dm.TransitionKernel(
+        name=f"counted({kernel.name})",
+        sample=sample,
+        n_states=kernel.n_states,
+        matrix=kernel.matrix,
+        is_lazy=kernel.is_lazy,
+        is_reversible=kernel.is_reversible,
+        lambda_bound=kernel.lambda_bound,
+        sample_path=sample_path,
+        base_steps_per_step=per,
+        validate_start=kernel.validate_start,
+        serialize_state=kernel.serialize_state,
+    )
+    return wrapped, counter

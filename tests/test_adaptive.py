@@ -9,6 +9,8 @@ import dynamite as dm
 from dynamite.adaptive import DEGENERATE_RANGE, RADIUS_MET, SCHEDULE_EXHAUSTED
 from dynamite.rng import stream
 
+from _oracles import counting_kernel
+
 
 class TestBuildSchedule:
     def test_hand_fixture(self):
@@ -82,10 +84,14 @@ class TestMcmcPro:
         assert a.to_json() == b.to_json()
 
     def test_step_accounting(self, cycle8_f1):
-        counted, counter = dm.counting_kernel(dm.make_cycle(8))
+        counted, counter = counting_kernel(dm.make_cycle(8))
         lam = math.cos(math.pi / 8) ** 2
         report = dm.mcmc_pro((0, 4), counted, lam, cycle8_f1, 0.05, 0.1, seed=1)
         assert counter.count == report.total_base_steps == 2 * report.iterations[-1].m
+
+    def test_rejects_zero_trace_length(self, cycle8, cycle8_f1):
+        with pytest.raises(ValueError, match="trace length"):
+            dm.mcmc_pro((0, 4), cycle8, 0.5, cycle8_f1, 0.05, 0.1, seed=0, trace_length=0)
 
     def test_early_stop_on_constant_function(self):
         # declared range [0, 1] but f is identically zero, so the radius
@@ -137,7 +143,7 @@ class TestDynamite:
         assert a.total_base_steps == b.total_base_steps
 
     def test_step_accounting_with_trace_expansion(self, cycle8_f1):
-        counted, counter = dm.counting_kernel(dm.make_cycle(8))
+        counted, counter = counting_kernel(dm.make_cycle(8))
         lam = math.cos(math.pi / 8) ** 2
         report = dm.dynamite((0, 4), counted, lam, cycle8_f1, 0.05, 0.1, seed=2)
         assert report.trace_length == 5
@@ -169,7 +175,7 @@ class TestWarmStart:
             dm.warm_start(0, nonrev, 0.9, 1 / 3, dm.indicator_function([1]), 0.1, 0.1, seed=0)
 
     def test_quarter_delta_and_warmup_accounting(self, cycle8_f1):
-        counted, counter = dm.counting_kernel(dm.make_cycle(8))
+        counted, counter = counting_kernel(dm.make_cycle(8))
         lam = math.cos(math.pi / 8) ** 2
         report = dm.warm_start(1, counted, lam, 1 / 8, cycle8_f1, 0.05, 0.1, seed=3)
         tau = dm.uniform_mixing_steps(lam, 1 / 8)

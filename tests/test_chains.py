@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import dynamite as dm
 from dynamite.errors import GuardError
 
-from _oracles import enumerate_trace_mean, stationary_nullspace, trace_chain_stationary
+from _oracles import enumerate_trace_mean, stationary_nullspace, trace_chain_matrix, trace_chain_stationary
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestRunTrace:
@@ -86,75 +93,58 @@ class TestTensorProduct:
             assert abs(base_eigs[1] - prod_eigs[1]) < 1e-9, kernel.name
 
 
+SMALL_KERNELS = (
+    dm.make_cycle(4),
+    dm.make_two_state_uniform(),
+    dm.lazify(dm.matrix_kernel(np.array([[0.3, 0.7], [0.3, 0.7]]), "skew", is_reversible=True)),
+)
+
+
+def second_abs_eigenvalue(matrix):
+    return np.sort(np.abs(np.linalg.eigvals(matrix)))[-2]
+
+
 class TestTraceChain:
+    """The chain over length-T traces that the block means of ``mcmc_pro`` walk."""
+
     def test_degenerate_length_one_equals_base(self):
         kernel = dm.make_cycle(4)
-        traced = dm.trace_chain(kernel, 1)
-        assert np.allclose(traced.trace_matrix, kernel.matrix)
+        assert np.allclose(trace_chain_matrix(kernel.matrix, 1), kernel.matrix)
 
     def test_uniform_base_t2_has_quarter_entries(self):
-        traced = dm.trace_chain(dm.make_two_state_uniform(), 2)
-        assert traced.trace_matrix.shape == (4, 4)
-        assert np.allclose(traced.trace_matrix, 0.25)
+        m = trace_chain_matrix(dm.make_two_state_uniform().matrix, 2)
+        assert m.shape == (4, 4)
+        assert np.allclose(m, 0.25)
 
     def test_enumerated_matrix_rows_and_stationarity(self):
         kernel = dm.make_cycle(4)
-        traced = dm.trace_chain(kernel, 2)
-        m = traced.trace_matrix
+        m = trace_chain_matrix(kernel.matrix, 2)
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
         pi = stationary_nullspace(kernel.matrix)
         states, pi_t = trace_chain_stationary(kernel.matrix, pi, 2)
-        assert states == traced.trace_states
+        assert len(states) == m.shape[0]
         assert np.max(np.abs(pi_t @ m - pi_t)) < 1e-9
         assert abs(pi_t.sum() - 1.0) < 1e-12
 
     def test_stationarity_for_all_small_kernels_up_to_t4(self):
-        kernels = [
-            dm.make_cycle(4),
-            dm.make_two_state_uniform(),
-            dm.lazify(dm.matrix_kernel(np.array([[0.3, 0.7], [0.3, 0.7]]), "skew", is_reversible=True)),
-        ]
-        for kernel in kernels:
+        for kernel in SMALL_KERNELS:
             pi = stationary_nullspace(kernel.matrix)
             for horizon in range(1, 5):
-                if kernel.matrix.shape[0] ** horizon > 4096:
-                    continue
-                traced = dm.trace_chain(kernel, horizon)
                 _, pi_t = trace_chain_stationary(kernel.matrix, pi, horizon)
-                assert np.max(np.abs(pi_t @ traced.trace_matrix - pi_t)) < 1e-9, (kernel.name, horizon)
-
-    def test_sampling_concatenates_base_steps(self):
-        kernel = dm.make_cycle(8)
-        traced = dm.trace_chain(kernel, 3)
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
-        start = np.array([0, 0, 0])
-        hopped = traced.path(start, 4, rng_a)
-        flat = kernel.path(0, 12, rng_b)
-        assert hopped.shape == (4, 3)
-        assert np.array_equal(hopped.reshape(-1), flat)
-
-    def test_rejects_zero_length(self):
-        with pytest.raises(ValueError):
-            dm.trace_chain(dm.make_cycle(4), 0)
+                m = trace_chain_matrix(kernel.matrix, horizon)
+                assert np.max(np.abs(pi_t @ m - pi_t)) < 1e-9, (kernel.name, horizon)
 
     def test_eigenvalue_bound_is_powered(self):
-        kernel = dm.make_cycle(8)
-        traced = dm.trace_chain(kernel, 5)
-        assert traced.lambda_bound == pytest.approx(kernel.lambda_bound ** 5)
-        assert traced.base_steps_per_step == 5
+        # mcmc_pro schedules blocks of length T on lambda**T
+        for kernel in SMALL_KERNELS:
+            lam = second_abs_eigenvalue(kernel.matrix)
+            for horizon in range(1, 5):
+                traced = second_abs_eigenvalue(trace_chain_matrix(kernel.matrix, horizon))
+                assert traced <= lam ** horizon + 1e-6, (kernel.name, horizon)
 
 
 class TestLiftToTraceAverage:
-    def test_constant_trace(self):
-        f = dm.indicator_function([1])
-        lifted = dm.lift_to_trace_average(f, 3)
-        assert lifted((1, 1, 1)) == 1.0
-
-    def test_two_point_mean(self):
-        f = dm.indicator_function([1])
-        lifted = dm.lift_to_trace_average(f, 2)
-        assert lifted((0, 1)) == 0.5
+    """Averaging f along a stationary trace keeps the stationary mean."""
 
     def test_exact_expectation_under_trace_law(self):
         kernel = dm.make_cycle(4)
@@ -175,13 +165,30 @@ class TestLiftToTraceAverage:
                 lifted_mean = enumerate_trace_mean(kernel.matrix, pi, fvals, horizon)
                 assert lifted_mean == pytest.approx(float(pi @ fvals), abs=1e-9), name
 
-    def test_batched_evaluation_matches_scalar(self):
-        f = dm.make_cycle_function(8, 2)
-        lifted = dm.lift_to_trace_average(f, 4)
-        traces = np.array([[0, 1, 2, 3], [4, 4, 4, 4], [7, 0, 1, 2]])
-        batched = lifted.values(traces)
-        scalar = [lifted(tuple(t)) for t in traces]
-        assert np.allclose(batched, scalar)
+
+class TestScalarFunctionRange:
+    def test_fn_raises(self):
+        f = dm.ScalarFunction(fn=lambda s: 2.0, lo=0.0, hi=1.0, name="g")
+        with pytest.raises(ValueError, match=r"returned 2.0 outside \[0.0, 1.0\]"):
+            f(0)
+        with pytest.raises(ValueError, match="left its declared range"):
+            f.values([0, 1])
+
+    def test_batch_raises(self):
+        f = dm.ScalarFunction(fn=lambda s: 0.5, lo=0.0, hi=1.0, batch=lambda xs: np.full(len(xs), -1.0))
+        with pytest.raises(ValueError, match="left its declared range"):
+            f.values(np.arange(3))
+
+    def test_check_survives_optimized_mode(self):
+        code = (
+            "import dynamite as dm\n"
+            "f = dm.ScalarFunction(fn=lambda s: 2.0, lo=0.0, hi=1.0)\n"
+            "try:\n    f(0)\nexcept ValueError:\n    print('raised')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised"
 
 
 class TestCycle:
@@ -270,11 +277,3 @@ class TestLazify:
         assert np.allclose(lazy.matrix, [[0.65, 0.35], [0.15, 0.85]])
         assert lazy.is_lazy and lazy.is_reversible
         assert lazy.lambda_bound == pytest.approx(0.5)
-
-
-class TestCountingKernel:
-    def test_counts_base_steps_through_trace_chains(self):
-        base, counter = dm.counting_kernel(dm.make_cycle(8))
-        traced = dm.trace_chain(base, 4)
-        traced.path(np.zeros(4, dtype=int), 7, np.random.default_rng(0))
-        assert counter.count == 28

@@ -83,17 +83,6 @@ class TestEstimate:
         for report in payload["reports"]:
             assert report["total_base_steps"] == expected
 
-    def test_workers_do_not_change_results(self, tmp_path):
-        base = [
-            "estimate", "--chain", "two-state", "--fn", "indicator",
-            "--method", "mcmc-pro", "--epsilon", "0.2", "--delta", "0.2",
-            "--replicates", "8", "--seed", "5",
-        ]
-        a, b = tmp_path / "w1.json", tmp_path / "w4.json"
-        assert run_cli(base + ["--workers", "1", "--out", str(a)]) == 0
-        assert run_cli(base + ["--workers", "4", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_lambda_oracle_requires_matrix(self):
         # both built-in chains carry matrices, so a bad explicit value is the error path
         code = run_cli([
