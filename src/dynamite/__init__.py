@@ -20,7 +20,6 @@ from .adaptive import (
 )
 from .chains import (
     ScalarFunction,
-    Trace,
     TransitionKernel,
     identity_kernel,
     indicator_function,
@@ -32,8 +31,6 @@ from .chains import (
     mod_partition,
     project_chain,
     project_function,
-    run_trace,
-    tensor_product,
 )
 from .coloring import (
     CountResult,
@@ -44,11 +41,9 @@ from .coloring import (
     exact_glauber_matrix,
     exact_phase_ratios,
     glauber_kernel,
-    glauber_step,
     greedy_coloring,
     is_proper,
     jvv_count,
-    restricted_glauber_step,
 )
 from .errors import GuardError, NotErgodicError, StatisticalFailure
 from .estimators import (

@@ -244,7 +244,7 @@ def mcmc_pro(
     return EstimateReport(
         estimate=last.mean,
         iterations=tuple(records),
-        total_base_steps=2 * last.m * t * kernel.base_steps_per_step,
+        total_base_steps=2 * last.m * t,
         warmup_steps=0,
         termination=termination,
         seed=seed,
@@ -322,5 +322,5 @@ def warm_start(
         path1 = kernel.path(x1, tau_unif, rng_w)
         x0, x1 = path0[-1], path1[-1]
     report = dynamite((x0, x1), kernel, lambda_bound, f, epsilon, delta / 4.0, seed)
-    warmup = 2 * tau_unif * kernel.base_steps_per_step
+    warmup = 2 * tau_unif
     return dataclasses.replace(report, warmup_steps=warmup, total_base_steps=report.total_base_steps + warmup)

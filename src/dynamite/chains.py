@@ -1,10 +1,10 @@
-"""Markov kernels, traces, and chain constructions.
+"""Markov kernels, bounded functions on states, and chain constructions.
 
-The kernel abstraction is deliberately generic: integer states with an
-explicit row-stochastic matrix for small chains (cycles, projections,
-enumerated Glauber kernels) and opaque states with a sampler for everything
-else.  Explicit matrices exist only so the dense spectral oracle can analyse
-small instances; the samplers never require them.
+Every kernel has exactly one sampler, a path sampler ``(start, k, rng) -> k
+states``; ``TransitionKernel.path`` is the one sampling entry point.  Small
+chains (cycles, projections, enumerated Glauber kernels) also carry an
+explicit row-stochastic matrix so the dense spectral oracle can analyse them;
+the samplers never require it.
 """
 from __future__ import annotations
 
@@ -15,11 +15,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import GuardError
-from .rng import as_generator
 
 ROW_SUM_TOL = 1e-12
 LUMPABILITY_TOL = 1e-9
-PRODUCT_MATRIX_CAP = 4096  # max states of an enumerated pair-chain matrix
 
 
 @dataclasses.dataclass(frozen=True)
@@ -28,32 +26,25 @@ class TransitionKernel:
 
     Attributes:
         name: human-readable identifier used in reports.
-        sample: one transition, ``(state, rng) -> state``.
+        sample_path: the sampler, ``(start, k, rng) -> k states``; the start
+            itself is excluded and the first axis indexes steps.
         n_states: size of the state space when states are ``0..n_states-1``.
         matrix: explicit row-stochastic matrix for small enumerated chains.
         is_lazy: claim that every state holds with probability >= 1/2.
         is_reversible: claim that detailed balance holds at stationarity.
         lambda_bound: upper bound on the second absolute eigenvalue, in [0, 1),
             or None when no bound is claimed.
-        sample_path: optional vectorised ``(state, k, rng) -> k states``.
-        base_steps_per_step: how many steps of the underlying base chain one
-            step of this kernel consumes (2 for a pair chain, 1 otherwise).
-            Used for honest step accounting.
         validate_start: optional predicate raising on invalid start states.
-        serialize_state: state -> JSON-compatible value.
     """
 
     name: str
-    sample: Callable[[object, np.random.Generator], object]
+    sample_path: Callable[[object, int, np.random.Generator], object]
     n_states: Optional[int] = None
     matrix: Optional[np.ndarray] = None
     is_lazy: bool = False
     is_reversible: bool = False
     lambda_bound: Optional[float] = None
-    sample_path: Optional[Callable[[object, int, np.random.Generator], object]] = None
-    base_steps_per_step: int = 1
     validate_start: Optional[Callable[[object], None]] = None
-    serialize_state: Callable[[object], object] = dataclasses.field(default=lambda s: s)
 
     def __post_init__(self):
         if self.matrix is not None:
@@ -93,26 +84,7 @@ class TransitionKernel:
 
     def path(self, start, length: int, rng: np.random.Generator):
         """Run ``length`` steps from ``start`` (excluded) and return the visited states."""
-        if self.sample_path is not None:
-            return self.sample_path(start, length, rng)
-        out = []
-        state = start
-        for _ in range(length):
-            state = self.sample(state, rng)
-            out.append(state)
-        return out
-
-
-@dataclasses.dataclass(frozen=True)
-class Trace:
-    """One realised trajectory; the start state at index -1 is never included."""
-
-    states: object
-    seed: Optional[int]
-    stationary_from: int = 0
-
-    def __len__(self):
-        return len(self.states)
+        return self.sample_path(start, length, rng)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,19 +122,6 @@ class ScalarFunction:
         return out
 
 
-def run_trace(kernel: TransitionKernel, start, length: int, rng) -> Trace:
-    """Generate a trace of exactly ``length`` states, starting one step after ``start``.
-
-    ``rng`` may be an integer seed (recorded on the trace) or a generator.
-    """
-    if length < 1:
-        raise ValueError(f"trace length must be >= 1, got {length}")
-    kernel.check_start(start)
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
-    states = kernel.path(start, length, as_generator(rng))
-    return Trace(states=states, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # matrix-backed kernels
 
@@ -181,32 +140,24 @@ def matrix_kernel(
     n = m.shape[0]
     iid_rows = bool(np.all(np.abs(m - m[0]) <= ROW_SUM_TOL))
 
-    def sample(state, rng):
-        row = cum[int(state)]
-        j = int(np.searchsorted(row, rng.random(), side="right"))
-        return min(j, n - 1)
-
     def sample_path(start, k, rng):
         u = rng.random(k)
         if iid_rows:
             return np.minimum(np.searchsorted(cum[0], u, side="right"), n - 1).astype(np.int64)
         out = np.empty(k, dtype=np.int64)
         s = int(start)
-        row_of = cum
         for t in range(k):
-            s = min(int(np.searchsorted(row_of[s], u[t], side="right")), n - 1)
+            s = min(int(np.searchsorted(cum[s], u[t], side="right")), n - 1)
             out[t] = s
         return out
 
     return TransitionKernel(
         name=name,
-        sample=sample,
+        sample_path=sample_path,
         matrix=m,
         is_lazy=is_lazy,
         is_reversible=is_reversible,
         lambda_bound=lambda_bound,
-        sample_path=sample_path,
-        serialize_state=lambda s: int(s),
     )
 
 
@@ -241,14 +192,6 @@ def make_cycle(n: int) -> TransitionKernel:
         m[i, (i - 1) % n] += 0.25
     lam = math.cos(math.pi / n) ** 2
 
-    def sample(state, rng):
-        r = int(rng.integers(0, 4))
-        if r == 0:
-            return (int(state) - 1) % n
-        if r == 3:
-            return (int(state) + 1) % n
-        return int(state)
-
     def sample_path(start, k, rng):
         r = rng.integers(0, 4, size=k)
         inc = (r == 3).astype(np.int64) - (r == 0).astype(np.int64)
@@ -256,13 +199,11 @@ def make_cycle(n: int) -> TransitionKernel:
 
     return TransitionKernel(
         name=f"cycle-{n}",
-        sample=sample,
+        sample_path=sample_path,
         matrix=m,
         is_lazy=True,
         is_reversible=True,
         lambda_bound=lam,
-        sample_path=sample_path,
-        serialize_state=lambda s: int(s),
     )
 
 
@@ -310,39 +251,6 @@ def indicator_function(states: Sequence[int], name: str = "indicator") -> Scalar
 # chain constructions
 
 
-def tensor_product(kernel: TransitionKernel) -> TransitionKernel:
-    """Two independent copies of the chain evolving jointly over pairs.
-
-    The spectral gap of the pair chain equals that of the base chain, so the
-    base bound carries over unchanged.
-    """
-
-    def sample(state, rng):
-        x, y = state
-        return (kernel.sample(x, rng), kernel.sample(y, rng))
-
-    matrix = None
-    if kernel.matrix is not None and kernel.matrix.shape[0] ** 2 <= PRODUCT_MATRIX_CAP:
-        matrix = np.kron(kernel.matrix, kernel.matrix)
-
-    def validate(state):
-        x, y = state
-        kernel.check_start(x)
-        kernel.check_start(y)
-
-    return TransitionKernel(
-        name=f"product({kernel.name})",
-        sample=sample,
-        matrix=matrix,
-        is_lazy=False,  # holds only when both coordinates hold
-        is_reversible=kernel.is_reversible,
-        lambda_bound=kernel.lambda_bound,
-        base_steps_per_step=2 * kernel.base_steps_per_step,
-        validate_start=validate,
-        serialize_state=lambda s: [kernel.serialize_state(s[0]), kernel.serialize_state(s[1])],
-    )
-
-
 def lazify(kernel: TransitionKernel) -> TransitionKernel:
     """Hold with probability 1/2, else take one base step.
 
@@ -352,22 +260,24 @@ def lazify(kernel: TransitionKernel) -> TransitionKernel:
     if kernel.matrix is not None:
         matrix = 0.5 * (np.eye(kernel.matrix.shape[0]) + kernel.matrix)
 
-    def sample(state, rng):
-        if rng.random() < 0.5:
-            return state
-        return kernel.sample(state, rng)
+    def sample_path(start, k, rng):
+        out = []
+        state = start
+        for _ in range(k):
+            if rng.random() >= 0.5:
+                state = kernel.path(state, 1, rng)[-1]
+            out.append(state)
+        return out
 
     lam = None if kernel.lambda_bound is None else 0.5 * (1.0 + kernel.lambda_bound)
     return TransitionKernel(
         name=f"lazy({kernel.name})",
-        sample=sample,
+        sample_path=sample_path,
         matrix=matrix,
         is_lazy=True,
         is_reversible=kernel.is_reversible,
         lambda_bound=lam,
-        base_steps_per_step=kernel.base_steps_per_step,
         validate_start=kernel.validate_start,
-        serialize_state=kernel.serialize_state,
     )
 
 

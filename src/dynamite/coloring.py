@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 from .adaptive import EstimateReport, uniform_mixing_steps, warm_start
 from .chains import ScalarFunction, TransitionKernel
 from .errors import GuardError, StatisticalFailure
-from .estimators import ConcentrationParams, hoeffding_sample_complexity
+from .estimators import ConcentrationParams, hoeffding_sample_complexity, static_estimate
 from .rng import CHAIN_A, PHASE, WARMUP, child_seed, stream
 
 BRUTE_FORCE_CAP = 10 ** 8
@@ -64,32 +65,25 @@ class Graph:
 
     def degeneracy(self) -> int:
         """Smallest d such that every subgraph has a vertex of degree <= d."""
+        return self._peel()[1]
+
+    def degeneracy_order(self):
+        return self._peel()[0]
+
+    def _peel(self):
+        """Remove min-degree vertices one by one: (removal order, max degree at removal)."""
         deg = [len(a) for a in self.adjacency]
         removed = [False] * self.n
-        best = 0
+        order, best = [], 0
         for _ in range(self.n):
-            v = min((i for i in range(self.n) if not removed[i]), key=lambda i: deg[i], default=None)
-            if v is None:
-                break
+            v = min((i for i in range(self.n) if not removed[i]), key=lambda i: deg[i])
+            order.append(v)
             best = max(best, deg[v])
             removed[v] = True
             for w in self.adjacency[v]:
                 if not removed[w]:
                     deg[w] -= 1
-        return best
-
-    def degeneracy_order(self):
-        deg = [len(a) for a in self.adjacency]
-        removed = [False] * self.n
-        order = []
-        for _ in range(self.n):
-            v = min((i for i in range(self.n) if not removed[i]), key=lambda i: deg[i])
-            order.append(v)
-            removed[v] = True
-            for w in self.adjacency[v]:
-                if not removed[w]:
-                    deg[w] -= 1
-        return order
+        return order, best
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [[u, v] for u, v in self.edges]}
@@ -114,57 +108,12 @@ def is_proper(graph: Graph, coloring, k: Optional[int] = None) -> bool:
     return True
 
 
-def apply_single_site(graph: Graph, coloring: np.ndarray, u: int, c: int) -> np.ndarray:
-    """Recolor vertex u to c when that stays proper, otherwise hold."""
-    if coloring[u] != c and all(coloring[w] != c for w in graph.adjacency[u]):
-        out = coloring.copy()
-        out[u] = c
-        return out
-    return coloring.copy()
-
-
-def glauber_step(graph: Graph, k: int, coloring, rng) -> np.ndarray:
-    """One single-site update: uniform vertex, uniform color, recolor if legal.
-
-    The input must be proper; the output differs in at most one vertex and is
-    proper again by construction.
-    """
-    colors = np.asarray(coloring, dtype=np.int64)
-    if not is_proper(graph, colors, k):
-        raise ValueError("glauber_step requires a proper coloring")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    u = int(gen.integers(0, graph.n))
-    c = int(gen.integers(1, k + 1))
-    return apply_single_site(graph, colors, u, c)
-
-
-def restricted_glauber_step(graph: Graph, k: int, vertex_subset, coloring, rng) -> np.ndarray:
-    """Single-site update that only moves when the drawn vertex lies in the subset.
-
-    The (vertex, color) pair is drawn globally exactly as in the unrestricted
-    step, so the two chains couple draw for draw.
-    """
-    subset = frozenset(int(v) for v in vertex_subset)
-    if not subset:
-        raise ValueError("restricted chain needs a nonempty vertex subset")
-    colors = np.asarray(coloring, dtype=np.int64)
-    if not is_proper(graph, colors, k):
-        raise ValueError("restricted_glauber_step requires a proper coloring")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    u = int(gen.integers(0, graph.n))
-    c = int(gen.integers(1, k + 1))
-    if u not in subset:
-        return colors.copy()
-    return apply_single_site(graph, colors, u, c)
-
-
 def glauber_kernel(
     graph: Graph,
     k: int,
     *,
     lazy: bool = True,
     lambda_bound: Optional[float] = None,
-    restrict_to: Optional[Sequence[int]] = None,
 ) -> TransitionKernel:
     """Samplable single-site kernel over proper colorings (optionally lazified).
 
@@ -174,20 +123,6 @@ def glauber_kernel(
     """
     n = graph.n
     adjacency = [list(a) for a in graph.adjacency]
-    subset = None if restrict_to is None else frozenset(int(v) for v in restrict_to)
-    if subset is not None and not subset:
-        raise ValueError("restricted chain needs a nonempty vertex subset")
-
-    def sample(state, rng):
-        colors = list(state)
-        if lazy and rng.random() < 0.5:
-            return np.array(colors, dtype=np.int16)
-        u = int(rng.integers(0, n))
-        c = int(rng.integers(1, k + 1))
-        if (subset is None or u in subset) and colors[u] != c:
-            if all(colors[w] != c for w in adjacency[u]):
-                colors[u] = c
-        return np.array(colors, dtype=np.int16)
 
     def sample_path(state, steps, rng):
         colors = list(int(x) for x in state)
@@ -200,7 +135,7 @@ def glauber_kernel(
             if not (lazy and hold[t]):
                 u = us[t]
                 c = cs[t]
-                if (subset is None or u in subset) and colors[u] != c:
+                if colors[u] != c:
                     for w in adjacency[u]:
                         if colors[w] == c:
                             break
@@ -213,16 +148,13 @@ def glauber_kernel(
         if not is_proper(graph, state, k):
             raise ValueError("start state must be a proper coloring")
 
-    name = f"glauber(n={n},k={k}{',lazy' if lazy else ''}{',restricted' if subset else ''})"
     return TransitionKernel(
-        name=name,
-        sample=sample,
+        name=f"glauber(n={n},k={k}{',lazy' if lazy else ''})",
+        sample_path=sample_path,
         is_lazy=lazy,
         is_reversible=True,
         lambda_bound=lambda_bound,
-        sample_path=sample_path,
         validate_start=validate,
-        serialize_state=lambda s: [int(x) for x in s],
     )
 
 
@@ -277,7 +209,12 @@ def brute_force_count(graph: Graph, k: int) -> int:
 
 
 def exact_glauber_matrix(graph: Graph, k: int, *, lazy: bool = False, cap: int = 4096):
-    """Enumerate the coloring chain for small instances: (states, matrix)."""
+    """Enumerate the coloring chain for small instances: (states, matrix).
+
+    Each of the n*k equally likely (vertex u, color c) proposals recolors u to
+    c when no neighbour of u wears c and holds otherwise; this is the reference
+    law the sampler of ``glauber_kernel`` is tested against.
+    """
     states = list(enumerate_colorings(graph, k))
     if not states:
         raise GuardError(f"graph has no proper {k}-colorings")
@@ -287,11 +224,11 @@ def exact_glauber_matrix(graph: Graph, k: int, *, lazy: bool = False, cap: int =
     n = graph.n
     m = np.zeros((len(states), len(states)))
     for i, s in enumerate(states):
-        arr = np.array(s, dtype=np.int64)
         for u in range(n):
             for c in range(1, k + 1):
-                t = apply_single_site(graph, arr, u, c)
-                m[i, index[tuple(int(x) for x in t)]] += 1.0
+                free = all(s[w] != c for w in graph.adjacency[u])
+                t = s[:u] + (c,) + s[u + 1:] if free else s
+                m[i, index[t]] += 1.0
     m /= n * k
     if lazy:
         m = 0.5 * (np.eye(len(states)) + m)
@@ -338,15 +275,20 @@ def _phase_indicator(edge) -> ScalarFunction:
     return ScalarFunction(fn=fn, lo=0.0, hi=1.0, batch=batch, name=f"distinct({u},{v})")
 
 
+def _validated_order(graph: Graph, edge_order: Optional[Sequence]) -> list:
+    order = [tuple(e) for e in (edge_order if edge_order is not None else graph.edges)]
+    if sorted(tuple(sorted(e)) for e in order) != sorted(graph.edges):
+        raise ValueError("edge order must be a permutation of the graph's edges")
+    return order
+
+
 def build_phase_sequence(graph: Graph, edge_order: Optional[Sequence] = None, rng=None):
     """Phases in the given edge order (input order by default, seeded shuffle optional).
 
     Phase i samples on the graph holding edges 1..i-1 of the order and targets
     the i-th edge, so the sampling graphs grow strictly toward the input graph.
     """
-    order = [tuple(e) for e in (edge_order if edge_order is not None else graph.edges)]
-    if sorted(tuple(sorted(e)) for e in order) != sorted(graph.edges):
-        raise ValueError("edge order must be a permutation of the graph's edges")
+    order = _validated_order(graph, edge_order)
     if rng is not None:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(int(rng))
         gen.shuffle(order)
@@ -454,11 +396,24 @@ def ergodicity_floor(graph: Graph, edge_order: Optional[Sequence] = None) -> int
     sampling graph when k is at least its degeneracy plus two.  The floor is
     evaluated per phase (the phase edge itself is never part of the graph
     being sampled), so it is never above d_max(G) + 2 and is often below it.
+    The sampling graphs are nested and degeneracy never grows on a subgraph,
+    so the largest one, G without the last edge of the order, sets the floor.
     """
-    phases = build_phase_sequence(graph, edge_order)
-    if not phases:
+    order = _validated_order(graph, edge_order)
+    if not order:
         return 1
-    return max(p.sampling_graph.degeneracy() for p in phases) + 2
+    return Graph(graph.n, tuple(order[:-1])).degeneracy() + 2
+
+
+def coloring_space_size(n: int, k: int) -> float:
+    """k^n as a float, refused with a guard when it does not fit in one."""
+    try:
+        return float(k) ** n
+    except OverflowError:
+        raise GuardError(
+            f"k^n = {k}^{n} does not fit in a float: n ln k = {n * math.log(k):.1f} "
+            f"exceeds {math.log(sys.float_info.max):.1f}"
+        ) from None
 
 
 def jvv_count(
@@ -517,7 +472,7 @@ def jvv_count(
     n_phases = len(phases)
     eps_i = epsilon / n_phases
     delta_i = delta / n_phases
-    pi_min = 1.0 / float(k) ** graph.n
+    pi_min = 1.0 / coloring_space_size(graph.n, k)
 
     outcomes = []
     log_count = graph.n * math.log(k)
@@ -538,8 +493,7 @@ def jvv_count(
                 ConcentrationParams(lambda_bound=lazy_lambda, value_range=1.0, delta_prime=delta_i, m=1),
                 eps_i,
             )
-            path = kernel.path(state, m, stream(phase_seed, CHAIN_A))
-            ratio = float(np.mean(phase.fn.values(path)))
+            ratio = static_estimate(kernel, phase.fn, m, state, stream(phase_seed, CHAIN_A))
             steps = tau + m
             report = None
         if ratio <= 0.0:

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import ScalarFunction, TransitionKernel, run_trace
+from .chains import ScalarFunction, TransitionKernel
+from .rng import as_generator
 
 SQRT21 = math.sqrt(21.0)
 
@@ -146,5 +147,5 @@ def static_estimate(kernel: TransitionKernel, f: ScalarFunction, m: int, start, 
     """Classic fixed-size baseline: empirical mean over one length-m trace."""
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
-    trace = run_trace(kernel, start, m, rng)
-    return float(np.mean(f.values(trace.states)))
+    kernel.check_start(start)
+    return float(np.mean(f.values(kernel.path(start, m, as_generator(rng)))))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adaptive import uniform_mixing_steps
 from .chains import ScalarFunction
-from .coloring import Graph, enumerate_colorings, glauber_kernel, greedy_coloring
+from .coloring import Graph, coloring_space_size, enumerate_colorings, glauber_kernel, greedy_coloring
 from .errors import GuardError
 from .rng import WARMUP, as_generator, stream
 
@@ -148,7 +148,7 @@ def zeta_estimate(
         )
     indicator = _monochromatic_indicator(cut)
 
-    size = float(k) ** pg.graph.n
+    size = coloring_space_size(pg.graph.n, k)
     if exact is None:
         exact = size <= EXACT_ZETA_AUTO_CAP
     if exact:

@@ -114,29 +114,19 @@ class StepCounter:
 def counting_kernel(kernel):
     """Wrap a kernel so every sampled step increments a shared counter."""
     counter = StepCounter()
-    per = kernel.base_steps_per_step
 
-    def sample(state, rng):
-        counter.count += per
-        return kernel.sample(state, rng)
-
-    sample_path = None
-    if kernel.sample_path is not None:
-        def sample_path(state, k, rng):
-            counter.count += k * per
-            return kernel.sample_path(state, k, rng)
+    def sample_path(state, k, rng):
+        counter.count += k
+        return kernel.sample_path(state, k, rng)
 
     wrapped = dm.TransitionKernel(
         name=f"counted({kernel.name})",
-        sample=sample,
+        sample_path=sample_path,
         n_states=kernel.n_states,
         matrix=kernel.matrix,
         is_lazy=kernel.is_lazy,
         is_reversible=kernel.is_reversible,
         lambda_bound=kernel.lambda_bound,
-        sample_path=sample_path,
-        base_steps_per_step=per,
         validate_start=kernel.validate_start,
-        serialize_state=kernel.serialize_state,
     )
     return wrapped, counter

@@ -14,29 +14,17 @@ from _oracles import enumerate_trace_mean, stationary_nullspace, trace_chain_mat
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-class TestRunTrace:
+class TestPath:
     def test_identity_chain_is_absorbing(self):
-        trace = dm.run_trace(dm.identity_kernel(4), 2, 3, rng=0)
-        assert list(trace.states) == [2, 2, 2]
+        path = dm.identity_kernel(4).path(2, 3, np.random.default_rng(0))
+        assert list(path) == [2, 2, 2]
 
     def test_seed_determinism(self, cycle8):
-        a = dm.run_trace(cycle8, 0, 500, rng=42)
-        b = dm.run_trace(cycle8, 0, 500, rng=42)
-        c = dm.run_trace(cycle8, 0, 500, rng=43)
-        assert np.array_equal(a.states, b.states)
-        assert not np.array_equal(a.states, c.states)
-        assert a.seed == 42
-
-    def test_single_step_law_from_state_zero(self):
-        # one-step transitions out of a cycle state: quarter left, half hold, quarter right
-        kernel = dm.make_cycle(4)
-        rng = np.random.default_rng(7)
-        landed = np.array([kernel.sample(0, rng) for _ in range(100_000)])
-        freq = {s: np.mean(landed == s) for s in (3, 0, 1)}
-        assert abs(freq[3] - 0.25) < 0.01
-        assert abs(freq[0] - 0.50) < 0.01
-        assert abs(freq[1] - 0.25) < 0.01
-        assert set(np.unique(landed)) <= {0, 1, 3}
+        a = cycle8.path(0, 500, np.random.default_rng(42))
+        b = cycle8.path(0, 500, np.random.default_rng(42))
+        c = cycle8.path(0, 500, np.random.default_rng(43))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_vectorised_path_matches_law(self):
         kernel = dm.make_cycle(4)
@@ -45,12 +33,6 @@ class TestRunTrace:
         steps = (steps + 1) % 4 - 1  # wrap to {-1, 0, +1}
         assert abs(np.mean(steps == 0) - 0.5) < 0.01
         assert abs(np.mean(steps == 1) - 0.25) < 0.01
-
-    def test_rejects_bad_inputs(self, cycle8):
-        with pytest.raises(ValueError, match="length"):
-            dm.run_trace(cycle8, 0, 0, rng=0)
-        with pytest.raises(ValueError, match="start state"):
-            dm.run_trace(cycle8, 99, 3, rng=0)
 
 
 class TestKernelValidation:
@@ -65,32 +47,6 @@ class TestKernelValidation:
     def test_lambda_bound_range(self):
         with pytest.raises(ValueError, match="lambda"):
             dm.matrix_kernel(np.eye(2), "bad", lambda_bound=1.0)
-
-
-class TestTensorProduct:
-    def test_identity_base_gives_identity_pairs(self):
-        product = dm.tensor_product(dm.identity_kernel(3))
-        rng = np.random.default_rng(0)
-        assert product.sample((1, 2), rng) == (1, 2)
-        assert np.allclose(product.matrix, np.eye(9))
-
-    def test_uniform_base_gives_all_quarter_entries(self):
-        product = dm.tensor_product(dm.make_two_state_uniform())
-        assert product.matrix.shape == (4, 4)
-        assert np.allclose(product.matrix, 0.25)
-
-    def test_product_preserves_second_eigenvalue(self):
-        kernels = [
-            dm.make_cycle(4),
-            dm.make_cycle(6),
-            dm.make_two_state_uniform(),
-            dm.lazify(dm.matrix_kernel(np.array([[0.3, 0.7], [0.3, 0.7]]), "skew", is_reversible=True)),
-        ]
-        for kernel in kernels:
-            product = dm.tensor_product(kernel)
-            base_eigs = np.sort(np.abs(np.linalg.eigvals(kernel.matrix)))[::-1]
-            prod_eigs = np.sort(np.abs(np.linalg.eigvals(product.matrix)))[::-1]
-            assert abs(base_eigs[1] - prod_eigs[1]) < 1e-9, kernel.name
 
 
 SMALL_KERNELS = (
@@ -277,3 +233,11 @@ class TestLazify:
         assert np.allclose(lazy.matrix, [[0.65, 0.35], [0.15, 0.85]])
         assert lazy.is_lazy and lazy.is_reversible
         assert lazy.lambda_bound == pytest.approx(0.5)
+
+    def test_path_follows_lazified_matrix(self):
+        lazy = dm.lazify(dm.matrix_kernel(np.array([[0.3, 0.7], [0.3, 0.7]]), "skew"))
+        path = np.asarray(lazy.path(0, 20_000, np.random.default_rng(8)))
+        prev = np.concatenate([[0], path[:-1]])
+        for s in (0, 1):
+            moved = np.mean(path[prev == s] != s)
+            assert abs(moved - (1.0 - lazy.matrix[s, s])) < 0.03, s

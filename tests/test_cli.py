@@ -131,6 +131,12 @@ class TestCountColorings:
         assert code == EXIT_GUARD
         assert "ergodicity floor" in capsys.readouterr().err
 
+    def test_size_overflow_guard_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "path460.json"
+        path.write_text(json.dumps(dm.Graph(460, tuple((i, i + 1) for i in range(459))).to_json()))
+        assert run_cli(["count-colorings", "--graph", str(path), "--k", "5"]) == EXIT_GUARD
+        assert "n ln k" in capsys.readouterr().err
+
 
 class TestGenPlanted:
     def test_writes_graph_and_sidecar(self, tmp_path):

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynamite as dm
-from dynamite.coloring import apply_single_site, enumerate_colorings, render_decimal
+from dynamite.coloring import coloring_space_size, enumerate_colorings, render_decimal
 from dynamite.errors import GuardError, StatisticalFailure
 
 TRIANGLE = dm.Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -56,30 +58,30 @@ class TestIsProper:
 
 class TestGlauberStep:
     def test_blocked_and_noop_moves(self):
+        # from (1, 2) with k=3 each of the 6 (vertex, color) proposals has mass 1/6:
+        # the own color and the neighbour's color hold (4/6), the free color 3 moves
         path2 = dm.Graph(2, ((0, 1),))
-        # neighbour already wears color 2: the move is blocked
-        assert np.array_equal(apply_single_site(path2, np.array([1, 2]), 0, 2), [1, 2])
-        # recoloring to one's own color holds as well
-        assert np.array_equal(apply_single_site(path2, np.array([1, 2]), 0, 1), [1, 2])
-        # a free color moves
-        assert np.array_equal(apply_single_site(path2, np.array([1, 2]), 0, 3), [3, 2])
+        states, matrix = dm.exact_glauber_matrix(path2, 3, lazy=False)
+        row = matrix[states.index((1, 2))]
+        reached = {s: p for s, p in zip(states, row) if p > 0}
+        assert reached == pytest.approx({(1, 2): 4 / 6, (3, 2): 1 / 6, (1, 3): 1 / 6})
 
     def test_rejects_improper_input(self):
         with pytest.raises(ValueError, match="proper"):
-            dm.glauber_step(TRIANGLE, 3, [1, 1, 2], rng=0)
+            dm.glauber_kernel(TRIANGLE, 3).check_start([1, 1, 2])
 
     def test_empirical_row_matches_exact_kernel(self):
         path2 = dm.Graph(2, ((0, 1),))
         states, matrix = dm.exact_glauber_matrix(path2, 3, lazy=False)
         row = matrix[states.index((1, 2))]
-        rng = np.random.default_rng(123)
-        counts = {s: 0 for s in states}
-        trials = 100_000
-        for _ in range(trials):
-            nxt = tuple(int(c) for c in dm.glauber_step(path2, 3, [1, 2], rng))
-            counts[nxt] += 1
+        start = np.array([1, 2])
+        path = dm.glauber_kernel(path2, 3, lazy=False).path(start, 300_000, np.random.default_rng(123))
+        prev = np.concatenate([start[None, :], path[:-1]])
+        landed = path[np.all(prev == start, axis=1)]
+        assert len(landed) > 30_000
         for idx, state in enumerate(states):
-            assert abs(counts[state] / trials - row[idx]) < 0.01, state
+            freq = np.mean(np.all(landed == state, axis=1))
+            assert abs(freq - row[idx]) < 0.01, state
 
     def test_properness_preserved_under_fuzz(self):
         g = dm.Graph(8, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4), (2, 6)))
@@ -90,36 +92,6 @@ class TestGlauberStep:
         for u, v in g.edges:
             assert np.all(path[:, u] != path[:, v])
         assert path.min() >= 1 and path.max() <= k
-
-
-class TestRestrictedGlauber:
-    def test_full_subset_couples_exactly(self):
-        for seed in range(20):
-            a = dm.glauber_step(C4, 4, [1, 2, 1, 2], rng=seed)
-            b = dm.restricted_glauber_step(C4, 4, range(4), [1, 2, 1, 2], rng=seed)
-            assert np.array_equal(a, b)
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            dm.restricted_glauber_step(C4, 4, (), [1, 2, 1, 2], rng=0)
-
-    def test_frozen_outside_subset(self):
-        coloring = np.array([1, 2, 3, 1, 2, 3])
-        rng = np.random.default_rng(5)
-        state = coloring
-        for _ in range(10_000):
-            state = dm.restricted_glauber_step(TWO_TRIANGLES, 4, (0, 1, 2), state, rng)
-        assert np.array_equal(state[3:], [1, 2, 3])
-
-    def test_component_law_matches_full_chain_by_replay(self):
-        # on a disconnected graph the full chain restricted to one component
-        # is exactly the restricted chain when coupled on the same draws
-        full = np.array([1, 2, 3, 1, 2, 3])
-        restricted = full.copy()
-        for seed in range(2000):
-            full = dm.glauber_step(TWO_TRIANGLES, 4, full, rng=seed)
-            restricted = dm.restricted_glauber_step(TWO_TRIANGLES, 4, (0, 1, 2), restricted, rng=seed)
-            assert np.array_equal(full[:3], restricted[:3])
 
 
 class TestExactKernel:
@@ -201,6 +173,18 @@ class TestErgodicityFloor:
         assert dm.ergodicity_floor(TWO_TRIANGLES) == 4
         assert dm.ergodicity_floor(TRIANGLE) == 3
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_floor_is_max_over_phase_graphs(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        graph = dm.Graph(n, tuple(edges))
+        order = data.draw(st.permutations(graph.edges))
+        phases = dm.build_phase_sequence(graph, order)
+        expected = max((p.sampling_graph.degeneracy() for p in phases), default=-1) + 2
+        assert dm.ergodicity_floor(graph, order) == expected
+
     def test_pipeline_refuses_below_floor(self):
         with pytest.raises(GuardError, match="ergodicity floor"):
             dm.jvv_count(TWO_TRIANGLES, 3, 0.25, 0.25, seed=0)
@@ -251,6 +235,28 @@ class TestJvvCount:
         result = dm.jvv_count(C4, 3, 0.25, 0.25, seed=3)
         linear = math.exp(result.log_count)
         assert abs(float(result.estimate) - linear) / linear < 1e-9
+
+
+class TestSizeGuard:
+    def test_representable_sizes_are_exact(self):
+        assert coloring_space_size(460, 4) == float(4) ** 460
+        assert coloring_space_size(1023, 2) == 2.0 ** 1023
+        assert coloring_space_size(0, 7) == 1.0
+
+    def test_unrepresentable_size_is_refused(self):
+        with pytest.raises(GuardError, match="n ln k"):
+            coloring_space_size(1024, 2)
+
+    def test_counter_refuses_before_sampling(self, monkeypatch):
+        path460 = dm.Graph(460, tuple((i, i + 1) for i in range(459)))
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the size guard")
+
+        monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+        for estimator in ("dynamite", "static-hoeffding"):
+            with pytest.raises(GuardError, match="n ln k = 740.3"):
+                dm.jvv_count(path460, 5, 0.25, 0.25, estimator=estimator)
 
 
 class TestRenderDecimal:

@@ -140,6 +140,12 @@ class TestStaticEstimate:
         assert dm.static_estimate(dm.identity_kernel(4), f, 5, 2, rng=0) == 1.0
         assert dm.static_estimate(dm.identity_kernel(4), f, 5, 1, rng=0) == 0.0
 
+    def test_rejects_bad_inputs(self, cycle8, cycle8_f1):
+        with pytest.raises(ValueError, match="sample count"):
+            dm.static_estimate(cycle8, cycle8_f1, 0, 0, rng=0)
+        with pytest.raises(ValueError, match="start state"):
+            dm.static_estimate(cycle8, cycle8_f1, 3, 99, rng=0)
+
     def test_single_sample_is_binary(self, cycle8, cycle8_f1):
         v = dm.static_estimate(cycle8, cycle8_f1, 1, 0, rng=3)
         assert v in (0.0, 1.0)

@@ -139,6 +139,12 @@ class TestZetaEstimate:
         with pytest.raises(GuardError, match="d_max"):
             dm.zeta_estimate(pg, 0, 3, 10)  # triangles survive cut removal, need k >= 4
 
+    def test_unrepresentable_size_is_refused(self):
+        graph = dm.Graph(460, tuple((i, i + 1) for i in range(459)))
+        pg = dm.PartitionedGraph(graph=graph, communities=np.repeat([0, 1], 230))
+        with pytest.raises(GuardError, match="n ln k"):
+            dm.zeta_estimate(pg, 0, 5, 10)
+
 
 class TestCutMassStatistics:
     def test_mean_cut_size_matches_binomial_mean(self):

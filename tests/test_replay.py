@@ -27,7 +27,7 @@ def _cycle8():
 
 
 def _lazy_skewed():
-    # lazify has no vectorised sampler, so this exercises the per-step path
+    # lazify's sampler steps the base kernel's path sampler one step at a time
     base = dm.matrix_kernel(np.array([[0.3, 0.7], [0.3, 0.7]]), "skewed-two-state", is_reversible=True)
     return dm.lazify(base), dm.indicator_function([1])
 
