@@ -4,12 +4,15 @@ Every kernel has exactly one sampler, a path sampler ``(start, k, rng) -> k
 states``; ``TransitionKernel.path`` is the one sampling entry point.  Small
 chains (cycles, projections, enumerated Glauber kernels) also carry an
 explicit row-stochastic matrix so the dense spectral oracle can analyse them;
-the samplers never require it.
+the samplers never require it.  Every function on states has exactly one
+evaluator, the vectorised ``batch``.
+
+A kernel carries no eigenvalue bound: the bound is a claim about the chain
+that the caller makes, and every estimator takes it as an argument.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,22 +31,17 @@ class TransitionKernel:
         name: human-readable identifier used in reports.
         sample_path: the sampler, ``(start, k, rng) -> k states``; the start
             itself is excluded and the first axis indexes steps.
-        n_states: size of the state space when states are ``0..n_states-1``.
         matrix: explicit row-stochastic matrix for small enumerated chains.
         is_lazy: claim that every state holds with probability >= 1/2.
         is_reversible: claim that detailed balance holds at stationarity.
-        lambda_bound: upper bound on the second absolute eigenvalue, in [0, 1),
-            or None when no bound is claimed.
         validate_start: optional predicate raising on invalid start states.
     """
 
     name: str
     sample_path: Callable[[object, int, np.random.Generator], object]
-    n_states: Optional[int] = None
     matrix: Optional[np.ndarray] = None
     is_lazy: bool = False
     is_reversible: bool = False
-    lambda_bound: Optional[float] = None
     validate_start: Optional[Callable[[object], None]] = None
 
     def __post_init__(self):
@@ -64,13 +62,12 @@ class TransitionKernel:
                     f"kernel {self.name!r}: lazy claim violated, "
                     f"min diagonal {np.min(np.diag(m)):.6f} < 1/2"
                 )
-            if self.n_states is not None and self.n_states != m.shape[0]:
-                raise ValueError(f"kernel {self.name!r}: n_states inconsistent with matrix")
             object.__setattr__(self, "matrix", m)
-            if self.n_states is None:
-                object.__setattr__(self, "n_states", m.shape[0])
-        if self.lambda_bound is not None and not 0.0 <= self.lambda_bound < 1.0:
-            raise ValueError(f"kernel {self.name!r}: lambda_bound must lie in [0, 1)")
+
+    @property
+    def n_states(self) -> Optional[int]:
+        """Size of the state space ``0..n_states-1`` when a matrix is present."""
+        return None if self.matrix is None else self.matrix.shape[0]
 
     def check_start(self, state) -> None:
         if self.validate_start is not None:
@@ -89,12 +86,16 @@ class TransitionKernel:
 
 @dataclasses.dataclass(frozen=True)
 class ScalarFunction:
-    """Bounded real function on states with a declared range [lo, hi]."""
+    """Bounded real function on states with a declared range [lo, hi].
 
-    fn: Callable[[object], float]
+    ``batch`` is the one evaluator: it maps an array of states (first axis
+    indexes states) to their values.  Calling the function on one state
+    evaluates a batch of one.  Every evaluation checks the declared range.
+    """
+
+    batch: Callable[[np.ndarray], np.ndarray]
     lo: float
     hi: float
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "f"
 
     def __post_init__(self):
@@ -106,19 +107,14 @@ class ScalarFunction:
         return self.hi - self.lo
 
     def __call__(self, state) -> float:
-        v = float(self.fn(state))
-        if not self.lo - 1e-12 <= v <= self.hi + 1e-12:
-            raise ValueError(f"function {self.name!r} returned {v} outside [{self.lo}, {self.hi}]")
-        return v
+        return float(self.values(np.asarray(state)[None])[0])
 
     def values(self, states) -> np.ndarray:
         """Evaluate on a batch of states (first axis indexes states)."""
-        if self.batch is not None:
-            out = np.asarray(self.batch(np.asarray(states)), dtype=float)
-        else:
-            out = np.array([float(self.fn(s)) for s in states], dtype=float)
+        out = np.asarray(self.batch(np.asarray(states)), dtype=float)
         if out.size and not (out.min() >= self.lo - 1e-12 and out.max() <= self.hi + 1e-12):
-            raise ValueError(f"function {self.name!r} left its declared range")
+            raise ValueError(f"function {self.name!r} left its declared range [{self.lo}, {self.hi}]: "
+                             f"got values in [{out.min()}, {out.max()}]")
         return out
 
 
@@ -132,7 +128,6 @@ def matrix_kernel(
     *,
     is_lazy: bool = False,
     is_reversible: bool = False,
-    lambda_bound: Optional[float] = None,
 ) -> TransitionKernel:
     """Wrap an explicit row-stochastic matrix as a samplable kernel over 0..N-1."""
     m = np.asarray(matrix, dtype=float)
@@ -157,7 +152,6 @@ def matrix_kernel(
         matrix=m,
         is_lazy=is_lazy,
         is_reversible=is_reversible,
-        lambda_bound=lambda_bound,
     )
 
 
@@ -168,13 +162,7 @@ def identity_kernel(n: int) -> TransitionKernel:
 
 def make_two_state_uniform() -> TransitionKernel:
     """Two states, every entry 1/2: second eigenvalue exactly zero."""
-    return matrix_kernel(
-        np.full((2, 2), 0.5),
-        "two-state-uniform",
-        is_lazy=True,
-        is_reversible=True,
-        lambda_bound=0.0,
-    )
+    return matrix_kernel(np.full((2, 2), 0.5), "two-state-uniform", is_lazy=True, is_reversible=True)
 
 
 def make_cycle(n: int) -> TransitionKernel:
@@ -190,7 +178,6 @@ def make_cycle(n: int) -> TransitionKernel:
         m[i, i] = 0.5
         m[i, (i + 1) % n] += 0.25
         m[i, (i - 1) % n] += 0.25
-    lam = math.cos(math.pi / n) ** 2
 
     def sample_path(start, k, rng):
         r = rng.integers(0, 4, size=k)
@@ -203,7 +190,6 @@ def make_cycle(n: int) -> TransitionKernel:
         matrix=m,
         is_lazy=True,
         is_reversible=True,
-        lambda_bound=lam,
     )
 
 
@@ -222,29 +208,19 @@ def make_cycle_function(n: int, i: int) -> ScalarFunction:
         )
     period = 2 * i
 
-    def fn(x):
-        return 0.0 if (int(x) % period) < i else 1.0
-
     def batch(xs):
         return ((np.asarray(xs) % period) >= i).astype(float)
 
-    return ScalarFunction(fn=fn, lo=0.0, hi=1.0, batch=batch, name=f"block-f{i}")
+    return ScalarFunction(batch, lo=0.0, hi=1.0, name=f"block-f{i}")
 
 
 def indicator_function(states: Sequence[int], name: str = "indicator") -> ScalarFunction:
-    members = frozenset(int(s) for s in states)
-    arr = np.array(sorted(members))
+    arr = np.array(sorted({int(s) for s in states}))
 
     def batch(xs):
         return np.isin(np.asarray(xs), arr).astype(float)
 
-    return ScalarFunction(
-        fn=lambda x: 1.0 if int(x) in members else 0.0,
-        lo=0.0,
-        hi=1.0,
-        batch=batch,
-        name=name,
-    )
+    return ScalarFunction(batch, lo=0.0, hi=1.0, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +230,8 @@ def indicator_function(states: Sequence[int], name: str = "indicator") -> Scalar
 def lazify(kernel: TransitionKernel) -> TransitionKernel:
     """Hold with probability 1/2, else take one base step.
 
-    Halves the spectral gap: a bound L on the base chain becomes (1+L)/2.
+    Halves the spectral gap: a bound L on the base chain becomes (1+L)/2,
+    which the caller passes to the estimators.
     """
     matrix = None
     if kernel.matrix is not None:
@@ -269,14 +246,12 @@ def lazify(kernel: TransitionKernel) -> TransitionKernel:
             out.append(state)
         return out
 
-    lam = None if kernel.lambda_bound is None else 0.5 * (1.0 + kernel.lambda_bound)
     return TransitionKernel(
         name=f"lazy({kernel.name})",
         sample_path=sample_path,
         matrix=matrix,
         is_lazy=True,
         is_reversible=kernel.is_reversible,
-        lambda_bound=lam,
         validate_start=kernel.validate_start,
     )
 
@@ -321,7 +296,6 @@ def project_chain(kernel: TransitionKernel, classes: Sequence[Sequence[int]]) ->
         name=f"proj({kernel.name},{c})",
         is_lazy=kernel.is_lazy,
         is_reversible=kernel.is_reversible,
-        lambda_bound=kernel.lambda_bound,
     )
 
 
@@ -334,10 +308,4 @@ def project_function(f: ScalarFunction, classes: Sequence[Sequence[int]]) -> Sca
             raise ValueError(f"function is not constant on class {j}: values {sorted(vals)}")
         reps.append(vals.pop())
     table = np.array(reps, dtype=float)
-    return ScalarFunction(
-        fn=lambda cidx: float(table[int(cidx)]),
-        lo=f.lo,
-        hi=f.hi,
-        batch=lambda xs: table[np.asarray(xs, dtype=int)],
-        name=f"proj({f.name})",
-    )
+    return ScalarFunction(lambda xs: table[np.asarray(xs, dtype=int)], lo=f.lo, hi=f.hi, name=f"proj({f.name})")

@@ -19,9 +19,8 @@ non-reproducible.  Relative output paths resolve against the
 JSON layouts are frozen by golden tests:
 
 * estimate: {config, reports: [EstimateReport...], aggregate}
-* EstimateReport: estimate, termination, seed, epsilon, delta, lambda_bound,
-  trace_length, function_range, total_base_steps, warmup_steps, schedule,
-  iterations.
+* EstimateReport: ``adaptive.EstimateReport.to_json``, for the static
+  methods too (termination "static", no schedule, no iterations).
 * count-colorings: CountResult plus optional {exact, relative_error}.
 * graph files: {"n": int, "edges": [[u, v], ...]} with 0-indexed vertices.
 """
@@ -39,7 +38,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .adaptive import dynamite, mcmc_pro, warm_start
+from .adaptive import EstimateReport, dynamite, mcmc_pro, warm_start
 from .chains import ScalarFunction, indicator_function, make_cycle, make_cycle_function, make_two_state_uniform
 from .coloring import Graph, brute_force_count, jvv_count
 from .errors import GuardError, StatisticalFailure
@@ -164,24 +163,26 @@ def _run_method(method, kernel, f, lam, summary, epsilon, delta, seed, rng, star
             m = bernstein_sample_complexity(params, summary.stationary_variance, epsilon)
         start = _stationary_pair(summary, rng)[0]
         est = static_estimate(kernel, f, m, start, stream(seed, 0))
-        return {
-            "estimate": est,
-            "termination": "static",
-            "seed": seed,
-            "epsilon": epsilon,
-            "delta": delta,
-            "lambda_bound": lam,
-            "trace_length": 1,
-            "function_range": [f.lo, f.hi],
-            "total_base_steps": m,
-            "warmup_steps": 0,
-            "schedule": None,
-            "iterations": [],
-        }
+        return EstimateReport(
+            estimate=est,
+            iterations=(),
+            total_base_steps=m,
+            warmup_steps=0,
+            termination="static",
+            seed=seed,
+            epsilon=epsilon,
+            delta=delta,
+            lambda_bound=lam,
+            trace_length=1,
+            function_range=(f.lo, f.hi),
+            schedule=None,
+        ).to_json()
     raise ConfigError(f"unknown method {method!r}")
 
 
 def cmd_estimate(args) -> int:
+    if args.replicates < 1:
+        raise ConfigError(f"--replicates must be at least 1, got {args.replicates}")
     kernel = _build_chain(args)
     f = _build_function(args, kernel)
     summary = summarize(kernel, f)
@@ -217,8 +218,13 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_count_colorings(args) -> int:
-    with open(args.graph) as fh:
-        graph = Graph.from_json(json.load(fh))
+    try:
+        with open(args.graph) as fh:
+            graph = Graph.from_json(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read graph file {args.graph!r}: {type(exc).__name__}: {exc}") from exc
+    # counted before sampling, so an oversize cross-check refuses at once
+    exact = brute_force_count(graph, args.k) if args.exact else None
     lam = None
     if args.lambda_bound is not None:
         lam = float(args.lambda_bound)
@@ -235,7 +241,6 @@ def cmd_count_colorings(args) -> int:
     )
     payload = result.to_json()
     if args.exact:
-        exact = brute_force_count(graph, args.k)
         payload["exact"] = exact
         payload["relative_error"] = (
             abs(math.exp(result.log_count) - exact) / exact if exact else None

@@ -108,18 +108,14 @@ def is_proper(graph: Graph, coloring, k: Optional[int] = None) -> bool:
     return True
 
 
-def glauber_kernel(
-    graph: Graph,
-    k: int,
-    *,
-    lazy: bool = True,
-    lambda_bound: Optional[float] = None,
-) -> TransitionKernel:
-    """Samplable single-site kernel over proper colorings (optionally lazified).
+def glauber_kernel(graph: Graph, k: int) -> TransitionKernel:
+    """Samplable lazy single-site kernel over proper colorings.
 
-    The lazified variant holds with probability 1/2 before proposing, which is
+    Each step holds with probability 1/2, else proposes a uniform (vertex u,
+    color c) and recolors u to c when no neighbour of u wears c.  The hold is
     what the adaptive estimator's analysis assumes; a bound L for the raw
-    chain must be adjusted to (1 + L)/2 by the caller.
+    chain becomes (1 + L)/2, which the caller passes to the estimators.
+    ``exact_glauber_matrix(graph, k, lazy=True)`` is this kernel's law.
     """
     n = graph.n
     adjacency = [list(a) for a in graph.adjacency]
@@ -127,12 +123,11 @@ def glauber_kernel(
     def sample_path(state, steps, rng):
         colors = list(int(x) for x in state)
         out = np.empty((steps, n), dtype=np.int16)
-        if lazy:
-            hold = rng.random(steps) < 0.5
+        hold = rng.random(steps) < 0.5
         us = rng.integers(0, n, size=steps)
         cs = rng.integers(1, k + 1, size=steps)
         for t in range(steps):
-            if not (lazy and hold[t]):
+            if not hold[t]:
                 u = us[t]
                 c = cs[t]
                 if colors[u] != c:
@@ -149,11 +144,10 @@ def glauber_kernel(
             raise ValueError("start state must be a proper coloring")
 
     return TransitionKernel(
-        name=f"glauber(n={n},k={k}{',lazy' if lazy else ''})",
+        name=f"glauber(n={n},k={k},lazy)",
         sample_path=sample_path,
-        is_lazy=lazy,
+        is_lazy=True,
         is_reversible=True,
-        lambda_bound=lambda_bound,
         validate_start=validate,
     )
 
@@ -254,66 +248,59 @@ def greedy_coloring(graph: Graph, k: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class PhaseSpec:
-    """One counting phase: the edge it introduces and the graph it samples on."""
+    """One counting phase: the ``index``-th edge of ``order`` and the graph before it.
+
+    All phases of a sequence share one ``order`` tuple, so the sequence holds
+    O(#E) edges; ``sampling_graph`` builds its graph on each access.
+    """
 
     index: int
-    edge: tuple
-    sampling_graph: Graph
+    n: int
+    order: tuple
     fn: ScalarFunction
+
+    @property
+    def edge(self) -> tuple:
+        return self.order[self.index - 1]
+
+    @property
+    def sampling_graph(self) -> Graph:
+        return Graph(self.n, self.order[: self.index - 1])
 
 
 def _phase_indicator(edge) -> ScalarFunction:
     u, v = edge
 
-    def fn(coloring):
-        return 1.0 if coloring[u] != coloring[v] else 0.0
-
     def batch(colorings):
         arr = np.asarray(colorings)
         return (arr[..., u] != arr[..., v]).astype(float)
 
-    return ScalarFunction(fn=fn, lo=0.0, hi=1.0, batch=batch, name=f"distinct({u},{v})")
+    return ScalarFunction(batch, lo=0.0, hi=1.0, name=f"distinct({u},{v})")
 
 
-def _validated_order(graph: Graph, edge_order: Optional[Sequence]) -> list:
-    order = [tuple(e) for e in (edge_order if edge_order is not None else graph.edges)]
+def _validated_order(graph: Graph, edge_order: Optional[Sequence]) -> tuple:
+    order = tuple(tuple(e) for e in (edge_order if edge_order is not None else graph.edges))
     if sorted(tuple(sorted(e)) for e in order) != sorted(graph.edges):
         raise ValueError("edge order must be a permutation of the graph's edges")
     return order
 
 
-def build_phase_sequence(graph: Graph, edge_order: Optional[Sequence] = None, rng=None):
-    """Phases in the given edge order (input order by default, seeded shuffle optional).
+def build_phase_sequence(graph: Graph, edge_order: Optional[Sequence] = None):
+    """Phases in the given edge order (input order by default).
 
     Phase i samples on the graph holding edges 1..i-1 of the order and targets
     the i-th edge, so the sampling graphs grow strictly toward the input graph.
     """
     order = _validated_order(graph, edge_order)
-    if rng is not None:
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(int(rng))
-        gen.shuffle(order)
-    phases = []
-    for i, edge in enumerate(order, start=1):
-        phases.append(
-            PhaseSpec(
-                index=i,
-                edge=tuple(edge),
-                sampling_graph=Graph(graph.n, tuple(order[: i - 1])),
-                fn=_phase_indicator(edge),
-            )
-        )
-    return phases
+    return [PhaseSpec(i, graph.n, order, _phase_indicator(edge)) for i, edge in enumerate(order, start=1)]
 
 
 def exact_phase_ratios(graph: Graph, k: int, edge_order: Optional[Sequence] = None):
     """Brute-force per-phase ratios as exact fractions (oracle for the pipeline)."""
-    phases = build_phase_sequence(graph, edge_order)
     ratios = []
-    for phase in phases:
-        with_edge = Graph(graph.n, phase.sampling_graph.edges + (phase.edge,))
-        num = brute_force_count(with_edge, k)
-        den = brute_force_count(phase.sampling_graph, k)
-        ratios.append(Fraction(num, den))
+    for phase in build_phase_sequence(graph, edge_order):
+        with_edge = Graph(graph.n, phase.order[: phase.index])
+        ratios.append(Fraction(brute_force_count(with_edge, k), brute_force_count(phase.sampling_graph, k)))
     return ratios
 
 
@@ -478,8 +465,9 @@ def jvv_count(
     log_count = graph.n * math.log(k)
     total_steps = 0
     for phase in phases:
-        kernel = glauber_kernel(phase.sampling_graph, k, lazy=True, lambda_bound=lazy_lambda)
-        start = greedy_coloring(phase.sampling_graph, k)
+        sampling_graph = phase.sampling_graph
+        kernel = glauber_kernel(sampling_graph, k)
+        start = greedy_coloring(sampling_graph, k)
         phase_seed = child_seed(seed, PHASE, phase.index)
         if estimator == "dynamite":
             report = warm_start(start, kernel, lazy_lambda, pi_min, phase.fn, eps_i, delta_i, phase_seed)

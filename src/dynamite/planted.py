@@ -9,6 +9,7 @@ for reports only; the estimators never consume it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Optional
 
@@ -22,6 +23,7 @@ from .rng import WARMUP, as_generator, stream
 
 EXACT_ZETA_AUTO_CAP = 10 ** 6
 EXACT_ZETA_HARD_CAP = 10 ** 8
+EXACT_ZETA_CHUNK = 4096  # colorings per vectorised indicator evaluation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,15 +106,11 @@ class ZetaEstimate:
 def _monochromatic_indicator(cut) -> ScalarFunction:
     cut_arr = np.asarray(cut, dtype=np.int64)
 
-    def fn(coloring):
-        arr = np.asarray(coloring)
-        return 1.0 if np.any(arr[cut_arr[:, 0]] == arr[cut_arr[:, 1]]) else 0.0
-
     def batch(colorings):
         arr = np.asarray(colorings)
         return np.any(arr[..., cut_arr[:, 0]] == arr[..., cut_arr[:, 1]], axis=-1).astype(float)
 
-    return ScalarFunction(fn=fn, lo=0.0, hi=1.0, batch=batch, name="monochromatic-cut")
+    return ScalarFunction(batch, lo=0.0, hi=1.0, name="monochromatic-cut")
 
 
 def zeta_estimate(
@@ -156,14 +154,15 @@ def zeta_estimate(
             raise GuardError(f"exact mode guarded at k^n <= {EXACT_ZETA_HARD_CAP}")
         hits = 0
         total = 0
-        for coloring in enumerate_colorings(stripped, k):
-            total += 1
-            hits += int(indicator(np.asarray(coloring)))
+        colorings = enumerate_colorings(stripped, k)
+        while chunk := list(itertools.islice(colorings, EXACT_ZETA_CHUNK)):
+            total += len(chunk)
+            hits += int(indicator.values(np.array(chunk)).sum())
         return ZetaEstimate(value=hits / total, radius=0.0, mode="exact", samples=total)
 
     raw = (1.0 - 1.0 / (stripped.n ** 2 * k)) if lambda_bound is None else float(lambda_bound)
     lazy_lambda = 0.5 * (1.0 + raw)
-    kernel = glauber_kernel(stripped, k, lazy=True, lambda_bound=lazy_lambda)
+    kernel = glauber_kernel(stripped, k)
     tau = uniform_mixing_steps(lazy_lambda, 1.0 / size) if warmup is None else int(warmup)
     spacing = max(1, stripped.n * k) if thin is None else int(thin)
     gen = stream(rng, WARMUP) if isinstance(rng, (int, np.integer)) else rng

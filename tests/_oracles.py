@@ -122,11 +122,9 @@ def counting_kernel(kernel):
     wrapped = dm.TransitionKernel(
         name=f"counted({kernel.name})",
         sample_path=sample_path,
-        n_states=kernel.n_states,
         matrix=kernel.matrix,
         is_lazy=kernel.is_lazy,
         is_reversible=kernel.is_reversible,
-        lambda_bound=kernel.lambda_bound,
         validate_start=kernel.validate_start,
     )
     return wrapped, counter

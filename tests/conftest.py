@@ -14,13 +14,7 @@ def _glauber_path3_fixture():
     states, matrix = dm.exact_glauber_matrix(graph, 3, lazy=True)
     kernel = dm.matrix_kernel(matrix, "glauber-P3-k3-lazy", is_lazy=True, is_reversible=True)
     fvals = np.array([1.0 if s[0] == 1 else 0.0 for s in states])
-    f = dm.ScalarFunction(
-        fn=lambda idx: float(fvals[int(idx)]),
-        lo=0.0,
-        hi=1.0,
-        batch=lambda xs: fvals[np.asarray(xs, dtype=int)],
-        name="vertex0-is-1",
-    )
+    f = dm.ScalarFunction(lambda xs: fvals[np.asarray(xs, dtype=int)], lo=0.0, hi=1.0, name="vertex0-is-1")
     return kernel, f
 
 

@@ -70,7 +70,7 @@ class TestTraceLengthAndWarmup:
 
 class TestMcmcPro:
     def test_degenerate_range_returns_constant(self, cycle8):
-        const = dm.ScalarFunction(fn=lambda s: 0.7, lo=0.7, hi=0.7, name="const")
+        const = dm.ScalarFunction(lambda xs: np.full(len(xs), 0.7), lo=0.7, hi=0.7, name="const")
         report = dm.mcmc_pro((0, 1), cycle8, 0.5, const, 0.05, 0.1, seed=0)
         assert report.estimate == 0.7
         assert report.total_base_steps == 0
@@ -97,7 +97,7 @@ class TestMcmcPro:
         # declared range [0, 1] but f is identically zero, so the radius
         # collapses as soon as the 10RL/m term allows it
         kernel = dm.make_two_state_uniform()
-        zero = dm.ScalarFunction(fn=lambda s: 0.0, lo=0.0, hi=1.0, batch=lambda xs: np.zeros(len(xs)))
+        zero = dm.ScalarFunction(lambda xs: np.zeros(len(xs)), lo=0.0, hi=1.0)
         report = dm.mcmc_pro((0, 1), kernel, 0.0, zero, 1 / 256, 0.1, seed=5)
         assert report.termination == RADIUS_MET
         assert report.iterations[-1].m < report.schedule.sizes[-1]
@@ -127,9 +127,7 @@ class TestMcmcPro:
 
 class TestDynamite:
     def test_requires_lazy_chain(self, cycle8_f1):
-        nonlazy = dm.matrix_kernel(
-            np.array([[0.3, 0.7], [0.7, 0.3]]), "fast", is_reversible=True, lambda_bound=0.5
-        )
+        nonlazy = dm.matrix_kernel(np.array([[0.3, 0.7], [0.7, 0.3]]), "fast", is_reversible=True)
         with pytest.raises(ValueError, match="lazy"):
             dm.dynamite((0, 1), nonlazy, 0.5, dm.indicator_function([1]), 0.1, 0.1, seed=0)
 
@@ -169,7 +167,6 @@ class TestWarmStart:
             np.array([[0.6, 0.4, 0.0], [0.0, 0.6, 0.4], [0.4, 0.0, 0.6]]),
             "rotor",
             is_lazy=True,
-            lambda_bound=0.9,
         )
         with pytest.raises(ValueError, match="reversible"):
             dm.warm_start(0, nonrev, 0.9, 1 / 3, dm.indicator_function([1]), 0.1, 0.1, seed=0)

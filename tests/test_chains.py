@@ -44,10 +44,6 @@ class TestKernelValidation:
         with pytest.raises(ValueError, match="lazy"):
             dm.matrix_kernel(np.array([[0.2, 0.8], [0.8, 0.2]]), "bad", is_lazy=True)
 
-    def test_lambda_bound_range(self):
-        with pytest.raises(ValueError, match="lambda"):
-            dm.matrix_kernel(np.eye(2), "bad", lambda_bound=1.0)
-
 
 SMALL_KERNELS = (
     dm.make_cycle(4),
@@ -124,21 +120,21 @@ class TestLiftToTraceAverage:
 
 class TestScalarFunctionRange:
     def test_fn_raises(self):
-        f = dm.ScalarFunction(fn=lambda s: 2.0, lo=0.0, hi=1.0, name="g")
-        with pytest.raises(ValueError, match=r"returned 2.0 outside \[0.0, 1.0\]"):
+        f = dm.ScalarFunction(lambda xs: np.full(len(xs), 2.0), lo=0.0, hi=1.0, name="g")
+        with pytest.raises(ValueError, match=r"left its declared range \[0.0, 1.0\]: got values in \[2.0, 2.0\]"):
             f(0)
         with pytest.raises(ValueError, match="left its declared range"):
             f.values([0, 1])
 
     def test_batch_raises(self):
-        f = dm.ScalarFunction(fn=lambda s: 0.5, lo=0.0, hi=1.0, batch=lambda xs: np.full(len(xs), -1.0))
+        f = dm.ScalarFunction(lambda xs: np.full(len(xs), -1.0), lo=0.0, hi=1.0)
         with pytest.raises(ValueError, match="left its declared range"):
             f.values(np.arange(3))
 
     def test_check_survives_optimized_mode(self):
         code = (
             "import dynamite as dm\n"
-            "f = dm.ScalarFunction(fn=lambda s: 2.0, lo=0.0, hi=1.0)\n"
+            "f = dm.ScalarFunction(lambda xs: xs * 0.0 + 2.0, lo=0.0, hi=1.0)\n"
             "try:\n    f(0)\nexcept ValueError:\n    print('raised')\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
@@ -226,13 +222,10 @@ class TestProjectChain:
 
 class TestLazify:
     def test_matrix_and_bound(self):
-        base = dm.matrix_kernel(
-            np.array([[0.3, 0.7], [0.3, 0.7]]), "skew", is_reversible=True, lambda_bound=0.0
-        )
+        base = dm.matrix_kernel(np.array([[0.3, 0.7], [0.3, 0.7]]), "skew", is_reversible=True)
         lazy = dm.lazify(base)
         assert np.allclose(lazy.matrix, [[0.65, 0.35], [0.15, 0.85]])
         assert lazy.is_lazy and lazy.is_reversible
-        assert lazy.lambda_bound == pytest.approx(0.5)
 
     def test_path_follows_lazified_matrix(self):
         lazy = dm.lazify(dm.matrix_kernel(np.array([[0.3, 0.7], [0.3, 0.7]]), "skew"))

@@ -92,6 +92,15 @@ class TestEstimate:
         ])
         assert code == EXIT_CONFIG
 
+    def test_zero_replicates_is_config_error(self, capsys):
+        code = run_cli([
+            "estimate", "--chain", "two-state", "--fn", "indicator",
+            "--method", "dynamite", "--epsilon", "0.1", "--delta", "0.1",
+            "--replicates", "0",
+        ])
+        assert code == EXIT_CONFIG
+        assert "--replicates" in capsys.readouterr().err
+
 
 class TestCountColorings:
     @pytest.fixture()
@@ -130,6 +139,29 @@ class TestCountColorings:
         code = run_cli(["count-colorings", "--graph", str(path), "--k", "3"])
         assert code == EXIT_GUARD
         assert "ergodicity floor" in capsys.readouterr().err
+
+    def test_missing_graph_file_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert run_cli(["count-colorings", "--graph", str(missing), "--k", "3"]) == EXIT_CONFIG
+        assert "absent.json" in capsys.readouterr().err
+
+    def test_graph_file_without_edges_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "noedges.json"
+        path.write_text(json.dumps({"n": 4}))
+        assert run_cli(["count-colorings", "--graph", str(path), "--k", "3"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "noedges.json" in err and "edges" in err
+
+    def test_oversize_exact_refuses_before_sampling(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "path12.json"
+        path.write_text(json.dumps(dm.Graph(12, tuple((i, i + 1) for i in range(11))).to_json()))
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the brute-force guard")
+
+        monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+        assert run_cli(["count-colorings", "--graph", str(path), "--k", "5", "--exact"]) == EXIT_GUARD
+        assert "brute force guarded" in capsys.readouterr().err
 
     def test_size_overflow_guard_exit_three(self, tmp_path, capsys):
         path = tmp_path / "path460.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -72,10 +73,10 @@ class TestGlauberStep:
 
     def test_empirical_row_matches_exact_kernel(self):
         path2 = dm.Graph(2, ((0, 1),))
-        states, matrix = dm.exact_glauber_matrix(path2, 3, lazy=False)
+        states, matrix = dm.exact_glauber_matrix(path2, 3, lazy=True)
         row = matrix[states.index((1, 2))]
         start = np.array([1, 2])
-        path = dm.glauber_kernel(path2, 3, lazy=False).path(start, 300_000, np.random.default_rng(123))
+        path = dm.glauber_kernel(path2, 3).path(start, 300_000, np.random.default_rng(123))
         prev = np.concatenate([start[None, :], path[:-1]])
         landed = path[np.all(prev == start, axis=1)]
         assert len(landed) > 30_000
@@ -86,7 +87,7 @@ class TestGlauberStep:
     def test_properness_preserved_under_fuzz(self):
         g = dm.Graph(8, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4), (2, 6)))
         k = g.d_max + 2
-        kernel = dm.glauber_kernel(g, k, lazy=False)
+        kernel = dm.glauber_kernel(g, k)
         start = dm.greedy_coloring(g, k)
         path = kernel.path(start, 1_000_000, np.random.default_rng(0))
         for u, v in g.edges:
@@ -134,10 +135,19 @@ class TestPhaseSequence:
         sizes = [len(p.sampling_graph.edges) for p in phases]
         assert sizes == [0, 1, 2]
 
-    def test_shuffle_is_seeded(self):
-        a = dm.build_phase_sequence(C4, rng=7)
-        b = dm.build_phase_sequence(C4, rng=7)
-        assert [p.edge for p in a] == [p.edge for p in b]
+    def test_phases_share_one_edge_order(self):
+        # one shared order tuple, not a stored graph per phase: O(#E) memory
+        path2000 = dm.Graph(2001, tuple((i, i + 1) for i in range(2000)))
+        tracemalloc.start()
+        try:
+            phases = dm.build_phase_sequence(path2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(phases) == 2000
+        assert all(p.order is phases[0].order for p in phases)
+        assert peak < 4 * 2 ** 20, peak
+        assert phases[-1].sampling_graph.edges == path2000.edges[:-1]
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError, match="permutation"):

@@ -48,7 +48,7 @@ def dynamite_cycle8():
 
 def dynamite_constant():
     kernel, _ = _cycle8()
-    const = dm.ScalarFunction(fn=lambda s: 0.7, lo=0.7, hi=0.7, name="const")
+    const = dm.ScalarFunction(lambda xs: np.full(len(xs), 0.7), lo=0.7, hi=0.7, name="const")
     return dm.dynamite((0, 4), kernel, CYCLE8_LAMBDA, const, 0.05, 0.1, seed=13)
 
 
