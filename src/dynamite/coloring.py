@@ -13,6 +13,7 @@ that floor per phase (on each sampling graph) and refuses below it.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 import sys
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .estimators import ConcentrationParams, hoeffding_sample_complexity, static
 from .rng import CHAIN_A, PHASE, WARMUP, child_seed, stream
 
 BRUTE_FORCE_CAP = 10 ** 8
+CHUNK = 4096  # path rows the Glauber sampler rebuilds per cumulative sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,18 +73,28 @@ class Graph:
         return self._peel()[0]
 
     def _peel(self):
-        """Remove min-degree vertices one by one: (removal order, max degree at removal)."""
+        """Remove min-degree vertices one by one: (removal order, max degree at removal).
+
+        Ties go to the lowest index.  A heap of (degree, vertex) entries, where
+        an entry whose degree has since dropped is skipped, keeps that order in
+        O((n + #E) log n).
+        """
         deg = [len(a) for a in self.adjacency]
+        heap = [(d, v) for v, d in enumerate(deg)]
+        heapq.heapify(heap)
         removed = [False] * self.n
         order, best = [], 0
-        for _ in range(self.n):
-            v = min((i for i in range(self.n) if not removed[i]), key=lambda i: deg[i])
+        while heap:
+            d, v = heapq.heappop(heap)
+            if removed[v] or d != deg[v]:
+                continue
             order.append(v)
-            best = max(best, deg[v])
+            best = max(best, d)
             removed[v] = True
             for w in self.adjacency[v]:
                 if not removed[w]:
                     deg[w] -= 1
+                    heapq.heappush(heap, (deg[w], w))
         return order, best
 
     def to_json(self) -> dict:
@@ -116,27 +128,47 @@ def glauber_kernel(graph: Graph, k: int) -> TransitionKernel:
     what the adaptive estimator's analysis assumes; a bound L for the raw
     chain becomes (1 + L)/2, which the caller passes to the estimators.
     ``exact_glauber_matrix(graph, k, lazy=True)`` is this kernel's law.
+
+    The sampler draws every hold, vertex and color of the path up front, then
+    walks only the proposed moves in chunks of ``CHUNK`` steps, records each
+    accepted move as a color change, and rebuilds the chunk's int16 rows by a
+    cumulative sum from the colors at its start.  Colors above the int16
+    range are refused here, before any sampling.
     """
+    int16_max = int(np.iinfo(np.int16).max)
+    if k > int16_max:
+        raise GuardError(f"k={k} colors do not fit the sampler's int16 states (at most {int16_max})")
     n = graph.n
     adjacency = [list(a) for a in graph.adjacency]
 
     def sample_path(state, steps, rng):
-        colors = list(int(x) for x in state)
-        out = np.empty((steps, n), dtype=np.int16)
+        colors = [int(x) for x in state]
         hold = rng.random(steps) < 0.5
         us = rng.integers(0, n, size=steps)
         cs = rng.integers(1, k + 1, size=steps)
-        for t in range(steps):
-            if not hold[t]:
-                u = us[t]
-                c = cs[t]
-                if colors[u] != c:
+        out = np.zeros((steps, n), dtype=np.int16)
+        for lo in range(0, steps, CHUNK):
+            hi = min(lo + CHUNK, steps)
+            block = out[lo:hi]
+            block[0] = colors
+            moves = np.flatnonzero(~hold[lo:hi])
+            proposed_u, proposed_c = us[lo:hi][moves].tolist(), cs[lo:hi][moves].tolist()
+            moves = moves.tolist()
+            ts, vs, ds = [], [], []  # accepted moves: row, vertex, color change
+            for t, u, c in zip(moves, proposed_u, proposed_c):
+                old = colors[u]
+                if old != c:
                     for w in adjacency[u]:
                         if colors[w] == c:
                             break
                     else:
                         colors[u] = c
-            out[t] = colors
+                        ts.append(t)
+                        vs.append(u)
+                        ds.append(c - old)
+            if ts:
+                block[ts, vs] += ds
+            np.cumsum(block, axis=0, out=block)
         return out
 
     def validate(state):
@@ -403,6 +435,18 @@ def coloring_space_size(n: int, k: int) -> float:
         ) from None
 
 
+def coloring_lambda(graph: Graph, k: int, lambda_bound: Optional[float] = None):
+    """The lazy Glauber chain's eigenvalue bound: (lazy lambda, defaulted).
+
+    ``lambda_bound`` is the caller's bound L on the raw chain's second
+    absolute eigenvalue; when it is None, the 1 - 1/(n^2 k) heuristic stands
+    in for it.  The hold makes the bound (1 + L)/2.
+    """
+    defaulted = lambda_bound is None
+    raw = (1.0 - 1.0 / (graph.n ** 2 * k)) if defaulted else float(lambda_bound)
+    return 0.5 * (1.0 + raw), defaulted
+
+
 def jvv_count(
     graph: Graph,
     k: int,
@@ -453,9 +497,7 @@ def jvv_count(
             f"for this graph's sampling phases (degeneracy + 2)"
         )
 
-    defaulted = lambda_bound is None
-    raw_lambda = (1.0 - 1.0 / (graph.n ** 2 * k)) if defaulted else float(lambda_bound)
-    lazy_lambda = 0.5 * (1.0 + raw_lambda)
+    lazy_lambda, defaulted = coloring_lambda(graph, k, lambda_bound)
     n_phases = len(phases)
     eps_i = epsilon / n_phases
     delta_i = delta / n_phases

@@ -17,7 +17,14 @@ import numpy as np
 
 from .adaptive import uniform_mixing_steps
 from .chains import ScalarFunction
-from .coloring import Graph, coloring_space_size, enumerate_colorings, glauber_kernel, greedy_coloring
+from .coloring import (
+    Graph,
+    coloring_lambda,
+    coloring_space_size,
+    enumerate_colorings,
+    glauber_kernel,
+    greedy_coloring,
+)
 from .errors import GuardError
 from .rng import WARMUP, as_generator, stream
 
@@ -160,8 +167,7 @@ def zeta_estimate(
             hits += int(indicator.values(np.array(chunk)).sum())
         return ZetaEstimate(value=hits / total, radius=0.0, mode="exact", samples=total)
 
-    raw = (1.0 - 1.0 / (stripped.n ** 2 * k)) if lambda_bound is None else float(lambda_bound)
-    lazy_lambda = 0.5 * (1.0 + raw)
+    lazy_lambda, _ = coloring_lambda(stripped, k, lambda_bound)
     kernel = glauber_kernel(stripped, k)
     tau = uniform_mixing_steps(lazy_lambda, 1.0 / size) if warmup is None else int(warmup)
     spacing = max(1, stripped.n * k) if thin is None else int(thin)

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's closed forms: stationary
 vectors come from a null-space solve, autocovariances and trace variances
 from explicit path enumeration, trace-chain matrices from enumerating trace
-pairs, and step counts from a wrapper that tallies every sampled step, so
-agreement is a genuine cross-check.
+pairs, and step counts from a wrapper that tallies every sampled step; the
+Glauber sampler and the degeneracy peel have plain-loop reference versions.
+So agreement is a genuine cross-check.
 """
 import itertools
 
@@ -128,3 +129,42 @@ def counting_kernel(kernel):
         validate_start=kernel.validate_start,
     )
     return wrapped, counter
+
+
+def reference_glauber_path(graph, k, state, steps, rng):
+    """The lazy Glauber sampler as a plain per-step loop over the same draws."""
+    n = graph.n
+    adjacency = [list(a) for a in graph.adjacency]
+    colors = list(int(x) for x in state)
+    out = np.empty((steps, n), dtype=np.int16)
+    hold = rng.random(steps) < 0.5
+    us = rng.integers(0, n, size=steps)
+    cs = rng.integers(1, k + 1, size=steps)
+    for t in range(steps):
+        if not hold[t]:
+            u = us[t]
+            c = cs[t]
+            if colors[u] != c:
+                for w in adjacency[u]:
+                    if colors[w] == c:
+                        break
+                else:
+                    colors[u] = c
+        out[t] = colors
+    return out
+
+
+def reference_peel(graph):
+    """Degeneracy peel by a linear scan: (removal order, max degree at removal)."""
+    deg = [len(a) for a in graph.adjacency]
+    removed = [False] * graph.n
+    order, best = [], 0
+    for _ in range(graph.n):
+        v = min((i for i in range(graph.n) if not removed[i]), key=lambda i: deg[i])
+        order.append(v)
+        best = max(best, deg[v])
+        removed[v] = True
+        for w in graph.adjacency[v]:
+            if not removed[w]:
+                deg[w] -= 1
+    return order, best

@@ -163,6 +163,17 @@ class TestCountColorings:
         assert run_cli(["count-colorings", "--graph", str(path), "--k", "5", "--exact"]) == EXIT_GUARD
         assert "brute force guarded" in capsys.readouterr().err
 
+    def test_colors_beyond_int16_exit_three_before_sampling(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(dm.Graph(2, ((0, 1),)).to_json()))
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the int16 guard")
+
+        monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+        assert run_cli(["count-colorings", "--graph", str(path), "--k", "40000"]) == EXIT_GUARD
+        assert "int16" in capsys.readouterr().err
+
     def test_size_overflow_guard_exit_three(self, tmp_path, capsys):
         path = tmp_path / "path460.json"
         path.write_text(json.dumps(dm.Graph(460, tuple((i, i + 1) for i in range(459))).to_json()))

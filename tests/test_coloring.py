@@ -9,13 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynamite as dm
-from dynamite.coloring import coloring_space_size, enumerate_colorings, render_decimal
+from _oracles import reference_glauber_path, reference_peel
+from dynamite.coloring import CHUNK, coloring_lambda, coloring_space_size, enumerate_colorings, render_decimal
 from dynamite.errors import GuardError, StatisticalFailure
 
 TRIANGLE = dm.Graph(3, ((0, 1), (1, 2), (0, 2)))
 PATH3 = dm.Graph(3, ((0, 1), (1, 2)))
 C4 = dm.Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
 TWO_TRIANGLES = dm.Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+EDGE = dm.Graph(2, ((0, 1),))
+PATH_LENGTHS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)  # around the sampler's chunk boundaries
+
+
+@st.composite
+def small_graphs(draw, max_n=7):
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return dm.Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True))))
+
+
+def no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before the guard")
 
 
 class TestGraph:
@@ -35,6 +49,13 @@ class TestGraph:
         assert PATH3.d_max == 2 and PATH3.degeneracy() == 1
         assert dm.Graph(4, ((0, 1), (0, 2), (0, 3))).d_max == 3
         assert dm.Graph(4, ((0, 1), (0, 2), (0, 3))).degeneracy() == 1
+
+    @given(small_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_peel_matches_linear_scan(self, graph):
+        order, best = reference_peel(graph)
+        assert graph.degeneracy_order() == order
+        assert graph.degeneracy() == best
 
     def test_json_roundtrip(self):
         payload = C4.to_json()
@@ -83,6 +104,18 @@ class TestGlauberStep:
         for idx, state in enumerate(states):
             freq = np.mean(np.all(landed == state, axis=1))
             assert abs(freq - row[idx]) < 0.01, state
+
+    @given(small_graphs(), st.integers(0, 3), st.sampled_from(PATH_LENGTHS), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_path_replays_the_per_step_loop(self, graph, extra, steps, seed):
+        k = graph.degeneracy() + 2 + extra
+        start = dm.greedy_coloring(graph, k)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = reference_glauber_path(graph, k, start, steps, ref_rng)
+        path = dm.glauber_kernel(graph, k).path(start, steps, rng)
+        assert path.dtype == expected.dtype and path.shape == expected.shape
+        assert np.array_equal(path, expected)
+        assert rng.random() == ref_rng.random()
 
     def test_properness_preserved_under_fuzz(self):
         g = dm.Graph(8, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4), (2, 6)))
@@ -186,10 +219,7 @@ class TestErgodicityFloor:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_floor_is_max_over_phase_graphs(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=7))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
-        graph = dm.Graph(n, tuple(edges))
+        graph = data.draw(small_graphs())
         order = data.draw(st.permutations(graph.edges))
         phases = dm.build_phase_sequence(graph, order)
         expected = max((p.sampling_graph.degeneracy() for p in phases), default=-1) + 2
@@ -259,14 +289,28 @@ class TestSizeGuard:
 
     def test_counter_refuses_before_sampling(self, monkeypatch):
         path460 = dm.Graph(460, tuple((i, i + 1) for i in range(459)))
-
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before the size guard")
-
         monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
         for estimator in ("dynamite", "static-hoeffding"):
             with pytest.raises(GuardError, match="n ln k = 740.3"):
                 dm.jvv_count(path460, 5, 0.25, 0.25, estimator=estimator)
+
+    def test_colors_beyond_int16_are_refused_before_sampling(self, monkeypatch):
+        path = dm.glauber_kernel(EDGE, 32767).path([1, 2], 1000, np.random.default_rng(0))
+        assert path.dtype == np.int16 and path.min() >= 1 and path.max() <= 32767
+        monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+        with pytest.raises(GuardError, match="int16"):
+            dm.glauber_kernel(EDGE, 32768)
+        for estimator in ("dynamite", "static-hoeffding"):
+            with pytest.raises(GuardError, match="int16"):
+                dm.jvv_count(EDGE, 40000, 0.25, 0.25, estimator=estimator)
+
+
+class TestColoringLambda:
+    def test_default_is_the_lazified_heuristic(self):
+        assert coloring_lambda(C4, 3) == (0.5 * (1.0 + (1.0 - 1.0 / 48)), True)
+
+    def test_caller_bound_is_lazified(self):
+        assert coloring_lambda(C4, 3, 0.9) == (0.5 * (1.0 + 0.9), False)
 
 
 class TestRenderDecimal:

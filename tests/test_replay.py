@@ -1,9 +1,11 @@
 """Per-seed replay: seeded reports must match the recorded payloads exactly.
 
-``data/replay.json`` holds ``to_json()`` of every case below, recorded before
-the trace-chain wrapper was folded into the estimator loop.  Any change to a
-sampled state, an estimate, a schedule or a step count shows up here as a
-payload mismatch.  To record the file again from a given revision::
+``data/replay.json`` holds ``to_json()`` of every case below.  The first seven
+were recorded before the trace-chain wrapper was folded into the estimator
+loop; the planted-graph count and the sampled zeta, before the Glauber sampler
+was rewritten to walk only proposed moves.  Any change to a sampled state, an
+estimate, a schedule or a step count shows up here as a payload mismatch.  To
+record the file again from a given revision::
 
     PYTHONPATH=src python tests/test_replay.py > tests/data/replay.json
 """
@@ -34,6 +36,11 @@ def _lazy_skewed():
 
 def _c4():
     return dm.Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+
+
+def _planted6():
+    # two communities {0, 1, 2} and {3, 4, 5}: a triangle, a pendant edge and one cross edge
+    return dm.Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (2, 4)))
 
 
 def mcmc_pro_cycle8():
@@ -70,6 +77,18 @@ def jvv_count_c4_static():
     return dm.jvv_count(_c4(), 3, 0.25, 0.25, estimator="static-hoeffding", seed=17)
 
 
+def jvv_count_planted6_dynamite():
+    # T = 250 and 3149-trace iterations: every path spans many sampler chunks
+    return dm.jvv_count(_planted6(), 5, 0.25, 0.25, estimator="dynamite", seed=19)
+
+
+def zeta_estimate_sampled():
+    # sampled mode: one short path of n * k = 30 steps per sample
+    graph = dm.Graph(6, _planted6().edges + ((4, 5),))
+    pg = dm.PartitionedGraph(graph=graph, communities=np.array([0, 0, 0, 1, 1, 1]))
+    return dm.zeta_estimate(pg, 0, 5, 400, 18, exact=False)
+
+
 CASES = {
     fn.__name__: fn
     for fn in (
@@ -80,6 +99,8 @@ CASES = {
         warm_start_lazy_skewed,
         jvv_count_c4_dynamite,
         jvv_count_c4_static,
+        jvv_count_planted6_dynamite,
+        zeta_estimate_sampled,
     )
 }
 
