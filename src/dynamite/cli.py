@@ -290,8 +290,9 @@ def _cycle_problem(name, n, i, epsilon, delta):
 
 
 def _planted_problem(name, seed, epsilon, delta):
-    # tiny on purpose: the default conservative eigenvalue heuristic makes the
-    # per-phase warm-up grow like n^2 k log(k^n), so n=4 keeps a batch near a second
+    # tiny on purpose: a phase whose sampling graph has 2 d_max + 1 > k falls back to the
+    # 1 - 1/(n^2 k) heuristic, whose warm-up grows like n^2 k log(k^n), so n=4 keeps a
+    # batch near a second
     params = PlantedParams(n=4, communities=2, within_prob=0.9, cross_mass=0.5)
     pg = generate(params, seed)
     k = pg.graph.d_max + 2

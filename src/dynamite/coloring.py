@@ -343,6 +343,8 @@ class PhaseOutcome:
     ratio: float
     steps: int
     method: str
+    lambda_bound: float
+    lambda_source: str
     report: Optional[EstimateReport]
 
     def to_json(self) -> dict:
@@ -352,6 +354,8 @@ class PhaseOutcome:
             "ratio": self.ratio,
             "steps": self.steps,
             "method": self.method,
+            "lambda_bound": self.lambda_bound,
+            "lambda_source": self.lambda_source,
             "report": None if self.report is None else self.report.to_json(),
         }
 
@@ -372,8 +376,6 @@ class CountResult:
     k: int
     n: int
     edge_order: tuple
-    lambda_bound: float
-    lambda_defaulted: bool
     estimator: str
 
     @property
@@ -389,8 +391,6 @@ class CountResult:
             "k": self.k,
             "n": self.n,
             "edge_order": [list(e) for e in self.edge_order],
-            "lambda_bound": self.lambda_bound,
-            "lambda_defaulted": self.lambda_defaulted,
             "estimator": self.estimator,
             "phases": [p.to_json() for p in self.phases],
         }
@@ -436,15 +436,50 @@ def coloring_space_size(n: int, k: int) -> float:
 
 
 def coloring_lambda(graph: Graph, k: int, lambda_bound: Optional[float] = None):
-    """The lazy Glauber chain's eigenvalue bound: (lazy lambda, defaulted).
+    """The lazy Glauber chain's eigenvalue bound on ``graph``: (lazy lambda, source).
 
-    ``lambda_bound`` is the caller's bound L on the raw chain's second
-    absolute eigenvalue; when it is None, the 1 - 1/(n^2 k) heuristic stands
-    in for it.  The hold makes the bound (1 + L)/2.
+    The raw chain's second absolute eigenvalue is bounded by, in this order:
+
+    * ``caller``: ``lambda_bound``, the caller's bound, which must lie in [0, 1);
+    * ``jerrum``: 1 - (k - 2 d_max)/(k n) when k >= 2 d_max + 1.  Path coupling
+      (Jerrum 1995; Bubley and Dyer 1997) contracts the Hamming distance by
+      that factor per step, and a contraction bounds every non-unit
+      eigenvalue (Levin, Peres and Wilmer, Thm 13.1);
+    * ``heuristic``: 1 - 1/(n^2 k), which is unproven and false on some
+      graphs (the star K1,4 at k=3).
+
+    The hold makes the bound (1 + L)/2.
     """
-    defaulted = lambda_bound is None
-    raw = (1.0 - 1.0 / (graph.n ** 2 * k)) if defaulted else float(lambda_bound)
-    return 0.5 * (1.0 + raw), defaulted
+    if lambda_bound is not None:
+        raw = float(lambda_bound)
+        if not 0.0 <= raw < 1.0:
+            raise ValueError(f"lambda_bound must lie in [0, 1), got {lambda_bound}")
+        source = "caller"
+    elif k >= 2 * graph.d_max + 1:
+        raw = 1.0 - (k - 2 * graph.d_max) / (k * graph.n)
+        source = "jerrum"
+    else:
+        raw = 1.0 - 1.0 / (graph.n ** 2 * k)
+        source = "heuristic"
+    return 0.5 * (1.0 + raw), source
+
+
+def _jerrum_last_edge(n: int, k: int, order: tuple) -> tuple:
+    """``order``, with an edge at every max-degree vertex moved last when the largest
+    sampling graph misses Jerrum's condition k >= 2 d_max + 1 and that move meets it.
+
+    Dropping such an edge lowers the max degree by one; the latest one in ``order`` moves.
+    Under the condition the degeneracy floor holds too, since degeneracy <= d_max.
+    """
+    degree = np.bincount(np.asarray(order).ravel(), minlength=n)
+    top = int(degree.max())
+    if Graph(n, order[:-1]).d_max < top or not 2 * top - 1 <= k <= 2 * top:
+        return order
+    hubs = set(np.flatnonzero(degree == top).tolist())
+    for i in range(len(order) - 1, -1, -1):
+        if hubs <= set(order[i]):
+            return order[:i] + order[i + 1:] + (order[i],)
+    return order
 
 
 def jvv_count(
@@ -463,9 +498,14 @@ def jvv_count(
     Each of the #E phases estimates its ratio to additive precision epsilon/#E
     with failure budget delta/#E from a warm-started lazified single-site
     chain; the union bound gives total failure at most delta.  ``lambda_bound``
-    is the caller's bound on the raw chain's second absolute eigenvalue; when
-    omitted, the conservative 1 - 1/(n^2 k) heuristic is used and disclosed in
-    the result.
+    is the caller's bound on the raw chain's second absolute eigenvalue.  When
+    it is omitted and Jerrum's bound covers the largest sampling graph, every
+    phase uses that one bound, as in Jerrum's scheme: the sampling graphs are
+    nested, so it holds on each, and every phase runs the same T, tau and m.
+    Otherwise each phase takes ``coloring_lambda`` of its own sampling graph,
+    so phases a proof covers keep it.  Without ``edge_order`` the input order
+    is used, with ``_jerrum_last_edge`` applied.  Every phase outcome records
+    the bound it used and its source.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -475,8 +515,10 @@ def jvv_count(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if estimator not in ("dynamite", "static-hoeffding"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    phases = build_phase_sequence(graph, edge_order)
-    order = tuple(p.edge for p in phases)
+    order = _validated_order(graph, edge_order)
+    if order and edge_order is None and lambda_bound is None:
+        order = _jerrum_last_edge(graph.n, k, order)
+    phases = build_phase_sequence(graph, order)
     if not phases:
         return CountResult(
             log_count=graph.n * math.log(k),
@@ -486,8 +528,6 @@ def jvv_count(
             k=k,
             n=graph.n,
             edge_order=(),
-            lambda_bound=0.0,
-            lambda_defaulted=False,
             estimator=estimator,
         )
     floor = ergodicity_floor(graph, order)
@@ -497,17 +537,18 @@ def jvv_count(
             f"for this graph's sampling phases (degeneracy + 2)"
         )
 
-    lazy_lambda, defaulted = coloring_lambda(graph, k, lambda_bound)
     n_phases = len(phases)
     eps_i = epsilon / n_phases
     delta_i = delta / n_phases
     pi_min = 1.0 / coloring_space_size(graph.n, k)
 
+    shared = coloring_lambda(Graph(graph.n, order[:-1]), k, lambda_bound)
     outcomes = []
     log_count = graph.n * math.log(k)
     total_steps = 0
     for phase in phases:
         sampling_graph = phase.sampling_graph
+        lazy_lambda, source = shared if shared[1] != "heuristic" else coloring_lambda(sampling_graph, k)
         kernel = glauber_kernel(sampling_graph, k)
         start = greedy_coloring(sampling_graph, k)
         phase_seed = child_seed(seed, PHASE, phase.index)
@@ -541,6 +582,8 @@ def jvv_count(
                 ratio=ratio,
                 steps=steps,
                 method=estimator,
+                lambda_bound=lazy_lambda,
+                lambda_source=source,
                 report=report,
             )
         )
@@ -553,7 +596,5 @@ def jvv_count(
         k=k,
         n=graph.n,
         edge_order=order,
-        lambda_bound=lazy_lambda,
-        lambda_defaulted=defaulted,
         estimator=estimator,
     )

@@ -120,7 +120,7 @@ class TestCountColorings:
         payload = read_json(out)
         assert payload["exact"] == 18
         assert payload["relative_error"] <= 0.3
-        assert payload["lambda_defaulted"] is True
+        assert [p["lambda_source"] for p in payload["phases"]] == ["jerrum", "jerrum", "heuristic", "heuristic"]
 
     def test_edgeless_graph_is_exact_and_free(self, tmp_path):
         path = tmp_path / "edgeless.json"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -5,12 +6,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import dynamite as dm
 from _oracles import reference_glauber_path, reference_peel
-from dynamite.coloring import CHUNK, coloring_lambda, coloring_space_size, enumerate_colorings, render_decimal
+from dynamite.coloring import (
+    CHUNK,
+    _jerrum_last_edge,
+    coloring_lambda,
+    coloring_space_size,
+    enumerate_colorings,
+    render_decimal,
+)
 from dynamite.errors import GuardError, StatisticalFailure
 
 TRIANGLE = dm.Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -253,11 +261,12 @@ class TestJvvCount:
         assert result.phases[0].report is None
 
     def test_lambda_default_disclosed(self):
-        result = dm.jvv_count(dm.Graph(2, ((0, 1),)), 2, 0.25, 0.25, seed=0)
-        assert result.lambda_defaulted
-        explicit = dm.jvv_count(dm.Graph(2, ((0, 1),)), 2, 0.25, 0.25, seed=0, lambda_bound=0.875)
-        assert not explicit.lambda_defaulted
+        (phase,) = dm.jvv_count(dm.Graph(2, ((0, 1),)), 2, 0.25, 0.25, seed=0).phases
+        assert (phase.lambda_source, phase.lambda_bound) == ("jerrum", 0.75)  # edgeless: 1 - 1/n, lazified
+        (explicit,) = dm.jvv_count(dm.Graph(2, ((0, 1),)), 2, 0.25, 0.25, seed=0, lambda_bound=0.875).phases
+        assert explicit.lambda_source == "caller"
         assert explicit.lambda_bound == pytest.approx(0.9375)  # lazified
+        assert explicit.to_json()["lambda_source"] == "caller"
 
     def test_nonpositive_ratio_aborts(self, monkeypatch):
         import dynamite.coloring as coloring_mod
@@ -305,12 +314,92 @@ class TestSizeGuard:
                 dm.jvv_count(EDGE, 40000, 0.25, 0.25, estimator=estimator)
 
 
+def second_absolute_eigenvalue(graph, k):
+    _, matrix = dm.exact_glauber_matrix(graph, k)
+    moduli = np.sort(np.abs(np.linalg.eigvalsh(matrix)))
+    return float(moduli[-2]) if len(moduli) > 1 else 0.0
+
+
+def star(leaves):
+    return dm.Graph(leaves + 1, tuple((0, v) for v in range(1, leaves + 1)))
+
+
 class TestColoringLambda:
     def test_default_is_the_lazified_heuristic(self):
-        assert coloring_lambda(C4, 3) == (0.5 * (1.0 + (1.0 - 1.0 / 48)), True)
+        assert coloring_lambda(C4, 3) == (0.5 * (1.0 + (1.0 - 1.0 / 48)), "heuristic")
 
     def test_caller_bound_is_lazified(self):
-        assert coloring_lambda(C4, 3, 0.9) == (0.5 * (1.0 + 0.9), False)
+        assert coloring_lambda(C4, 3, 0.9) == (0.5 * (1.0 + 0.9), "caller")
+
+    def test_jerrum_bound_from_k_at_least_twice_the_max_degree_plus_one(self):
+        assert coloring_lambda(C4, 5) == (0.5 * (1.0 + (1.0 - 1.0 / 20)), "jerrum")
+        assert coloring_lambda(dm.Graph(4, ()), 1) == (0.5 * (1.0 + 0.75), "jerrum")
+
+    @given(small_graphs(), st.integers(min_value=0, max_value=2))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_jerrum_bound_holds(self, graph, extra_colors):
+        k = 2 * graph.d_max + 1 + extra_colors
+        assume(len(list(itertools.islice(enumerate_colorings(graph, k), 601))) <= 600)
+        lazy, source = coloring_lambda(graph, k)
+        assert source == "jerrum"
+        # tight on edgeless graphs, where the exact value is 1 - 1/n
+        assert second_absolute_eigenvalue(graph, k) <= 2.0 * lazy - 1.0 + 1e-12
+
+    def test_heuristic_is_false_on_the_star_k14(self):
+        lazy, source = coloring_lambda(star(4), 3)
+        assert source == "heuristic"
+        assert 2.0 * lazy - 1.0 == pytest.approx(1.0 - 1.0 / 75)  # 0.98667
+        assert second_absolute_eigenvalue(star(4), 3) == pytest.approx(0.99161, abs=1e-5)
+
+    def test_star_phases_leave_the_proof_after_two_edges(self):
+        result = dm.jvv_count(star(5), 3, 0.9, 0.9, estimator="static-hoeffding", seed=0)
+        assert [p.lambda_source for p in result.phases] == ["jerrum"] * 2 + ["heuristic"] * 3
+
+    def test_phases_share_the_bound_of_the_largest_sampling_graph(self):
+        path4 = dm.Graph(4, ((0, 1), (1, 2), (2, 3)))  # largest sampling graph: the path 0-1-2, d_max 2
+        result = dm.jvv_count(path4, 5, 0.9, 0.9, estimator="static-hoeffding", seed=0)
+        assert [p.lambda_source for p in result.phases] == ["jerrum"] * 3
+        assert {p.lambda_bound for p in result.phases} == {0.5 * (1.0 + (1.0 - 1.0 / 20))}
+        assert len({p.steps for p in result.phases}) == 1
+
+    def test_hub_edge_moves_last_to_bring_every_phase_under_the_proof(self):
+        tailed = dm.Graph(5, ((0, 1), (0, 2), (1, 2), (2, 4), (3, 4)))  # vertex 2 has degree 3
+        result = dm.jvv_count(tailed, 5, 0.9, 0.9, estimator="static-hoeffding", seed=0)
+        assert result.edge_order == ((0, 1), (0, 2), (1, 2), (3, 4), (2, 4))
+        assert [p.lambda_source for p in result.phases] == ["jerrum"] * 5
+        given_order = dm.jvv_count(tailed, 5, 0.9, 0.9, estimator="static-hoeffding", seed=0, edge_order=tailed.edges)
+        assert given_order.edge_order == tailed.edges
+        assert [p.lambda_source for p in given_order.phases] == ["jerrum"] * 4 + ["heuristic"]
+        caller = dm.jvv_count(tailed, 5, 0.9, 0.9, estimator="static-hoeffding", seed=0, lambda_bound=0.9)
+        assert caller.edge_order == tailed.edges
+
+    @given(small_graphs(), st.integers(min_value=1, max_value=9))
+    @settings(max_examples=200, deadline=None)
+    def test_last_edge_moves_exactly_when_one_move_brings_jerrum(self, graph, k):
+        assume(graph.edges)
+
+        def covered(order):
+            return k >= 2 * dm.Graph(graph.n, order[:-1]).d_max + 1
+
+        moves = [graph.edges[:i] + graph.edges[i + 1:] + (e,) for i, e in enumerate(graph.edges)]
+        order = _jerrum_last_edge(graph.n, k, graph.edges)
+        assert order in moves
+        if covered(graph.edges) or not any(covered(m) for m in moves):
+            assert order == graph.edges
+        else:
+            assert covered(order)
+            assert dm.ergodicity_floor(graph, order) <= k
+
+    @pytest.mark.parametrize("bound", [1.5, -3.0, math.nan, 1.0])
+    @pytest.mark.parametrize("caller", ["dynamite", "static-hoeffding", "zeta"])
+    def test_caller_bound_outside_the_unit_interval_is_refused_before_sampling(self, caller, bound, monkeypatch):
+        monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+        with pytest.raises(ValueError, match="lambda_bound"):
+            if caller == "zeta":
+                pg = dm.PartitionedGraph(graph=C4, communities=np.array([0, 0, 1, 1]))
+                dm.zeta_estimate(pg, 0, 5, 10, exact=False, lambda_bound=bound)
+            else:
+                dm.jvv_count(C4, 3, 0.25, 0.25, estimator=caller, lambda_bound=bound)
 
 
 class TestRenderDecimal:

@@ -1,11 +1,14 @@
 """Per-seed replay: seeded reports must match the recorded payloads exactly.
 
-``data/replay.json`` holds ``to_json()`` of every case below.  The first seven
-were recorded before the trace-chain wrapper was folded into the estimator
-loop; the planted-graph count and the sampled zeta, before the Glauber sampler
-was rewritten to walk only proposed moves.  Any change to a sampled state, an
-estimate, a schedule or a step count shows up here as a payload mismatch.  To
-record the file again from a given revision::
+``data/replay.json`` holds ``to_json()`` of every case below.  The cycle and
+two-state payloads were recorded before the trace-chain wrapper was folded
+into the estimator loop.  The coloring counts and the sampled zeta were
+recorded again when each counting phase took its eigenvalue bound from its own
+sampling graph (the Jerrum path-coupling bound where k >= 2 d_max + 1), which
+changed their trace lengths, warm-ups and step counts; the caller-bound count
+was added then.  Any change to a sampled state, an estimate, a schedule or a
+step count shows up here as a payload mismatch.  To record the file again from
+a given revision::
 
     PYTHONPATH=src python tests/test_replay.py > tests/data/replay.json
 """
@@ -77,8 +80,13 @@ def jvv_count_c4_static():
     return dm.jvv_count(_c4(), 3, 0.25, 0.25, estimator="static-hoeffding", seed=17)
 
 
+def jvv_count_c4_caller_lambda():
+    return dm.jvv_count(_c4(), 3, 0.25, 0.25, estimator="dynamite", seed=20, lambda_bound=0.9)
+
+
 def jvv_count_planted6_dynamite():
-    # T = 250 and 3149-trace iterations: every path spans many sampler chunks
+    # the hub edge (2, 4) moves last, so every phase shares the Jerrum bound of the largest
+    # sampling graph (T = 42); its paths span many sampler chunks
     return dm.jvv_count(_planted6(), 5, 0.25, 0.25, estimator="dynamite", seed=19)
 
 
@@ -99,6 +107,7 @@ CASES = {
         warm_start_lazy_skewed,
         jvv_count_c4_dynamite,
         jvv_count_c4_static,
+        jvv_count_c4_caller_lambda,
         jvv_count_planted6_dynamite,
         zeta_estimate_sampled,
     )
