@@ -21,16 +21,11 @@ from .adaptive import (
 from .chains import (
     ScalarFunction,
     TransitionKernel,
-    identity_kernel,
     indicator_function,
-    lazify,
     make_cycle,
     make_cycle_function,
     make_two_state_uniform,
     matrix_kernel,
-    mod_partition,
-    project_chain,
-    project_function,
 )
 from .coloring import (
     CountResult,
@@ -62,7 +57,6 @@ from .spectral import (
     SandwichVerdict,
     SpectralSummary,
     VarianceProfile,
-    autocovariance,
     check_sandwich,
     cycle_separation_profile,
     exact_trace_variance,

@@ -1,10 +1,10 @@
-"""Markov kernels, bounded functions on states, and chain constructions.
+"""Markov kernels and bounded functions on states.
 
 Every kernel has exactly one sampler, a path sampler ``(start, k, rng) -> k
 states``; ``TransitionKernel.path`` is the one sampling entry point.  Small
-chains (cycles, projections, enumerated Glauber kernels) also carry an
-explicit row-stochastic matrix so the dense spectral oracle can analyse them;
-the samplers never require it.  Every function on states has exactly one
+chains (cycles, enumerated Glauber kernels) also carry an explicit
+row-stochastic matrix so the dense spectral oracle can analyse them; the
+samplers never require it.  Every function on states has exactly one
 evaluator, the vectorised ``batch``.
 
 A kernel carries no eigenvalue bound: the bound is a claim about the chain
@@ -17,10 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GuardError
-
 ROW_SUM_TOL = 1e-12
-LUMPABILITY_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,11 +152,6 @@ def matrix_kernel(
     )
 
 
-def identity_kernel(n: int) -> TransitionKernel:
-    """The absorbing identity chain (useful only as a degenerate fixture)."""
-    return matrix_kernel(np.eye(n), f"identity-{n}", is_lazy=True, is_reversible=True)
-
-
 def make_two_state_uniform() -> TransitionKernel:
     """Two states, every entry 1/2: second eigenvalue exactly zero."""
     return matrix_kernel(np.full((2, 2), 0.5), "two-state-uniform", is_lazy=True, is_reversible=True)
@@ -221,91 +213,3 @@ def indicator_function(states: Sequence[int], name: str = "indicator") -> Scalar
         return np.isin(np.asarray(xs), arr).astype(float)
 
     return ScalarFunction(batch, lo=0.0, hi=1.0, name=name)
-
-
-# ---------------------------------------------------------------------------
-# chain constructions
-
-
-def lazify(kernel: TransitionKernel) -> TransitionKernel:
-    """Hold with probability 1/2, else take one base step.
-
-    Halves the spectral gap: a bound L on the base chain becomes (1+L)/2,
-    which the caller passes to the estimators.
-    """
-    matrix = None
-    if kernel.matrix is not None:
-        matrix = 0.5 * (np.eye(kernel.matrix.shape[0]) + kernel.matrix)
-
-    def sample_path(start, k, rng):
-        out = []
-        state = start
-        for _ in range(k):
-            if rng.random() >= 0.5:
-                state = kernel.path(state, 1, rng)[-1]
-            out.append(state)
-        return out
-
-    return TransitionKernel(
-        name=f"lazy({kernel.name})",
-        sample_path=sample_path,
-        matrix=matrix,
-        is_lazy=True,
-        is_reversible=kernel.is_reversible,
-        validate_start=kernel.validate_start,
-    )
-
-
-def mod_partition(n: int, modulus: int):
-    """Partition 0..n-1 by residue mod ``modulus``."""
-    return [[s for s in range(n) if s % modulus == c] for c in range(modulus)]
-
-
-def project_chain(kernel: TransitionKernel, classes: Sequence[Sequence[int]]) -> TransitionKernel:
-    """Lump states into equivalence classes when the partition is compatible.
-
-    The lumped transition from class [x] to class [y] is the common row mass
-    sum_{y' in [y]} M(x, y'); compatibility requires that mass to be the same
-    for every x in [x] (checked to 1e-9, rejecting with the violating pair).
-    """
-    if kernel.matrix is None:
-        raise ValueError("project_chain needs an explicit matrix")
-    m = kernel.matrix
-    n = m.shape[0]
-    blocks = [list(map(int, b)) for b in classes]
-    seen = sorted(s for b in blocks for s in b)
-    if seen != list(range(n)):
-        raise ValueError("classes must partition the state space exactly once")
-    c = len(blocks)
-    lumped_rows = np.zeros((n, c))
-    for j, block in enumerate(blocks):
-        lumped_rows[:, j] = m[:, block].sum(axis=1)
-    for j, block in enumerate(blocks):
-        ref = lumped_rows[block[0]]
-        for x in block[1:]:
-            dev = np.abs(lumped_rows[x] - ref)
-            if dev.max() > LUMPABILITY_TOL:
-                tgt = int(np.argmax(dev))
-                raise GuardError(
-                    f"partition not lumpable: states {block[0]} and {x} of class {j} "
-                    f"disagree on class {tgt} mass ({ref[tgt]:.9f} vs {lumped_rows[x][tgt]:.9f})"
-                )
-    proj = np.array([lumped_rows[block[0]] for block in blocks])
-    return matrix_kernel(
-        proj,
-        name=f"proj({kernel.name},{c})",
-        is_lazy=kernel.is_lazy,
-        is_reversible=kernel.is_reversible,
-    )
-
-
-def project_function(f: ScalarFunction, classes: Sequence[Sequence[int]]) -> ScalarFunction:
-    """Induce f on the lumped states; f must be constant on every class."""
-    reps = []
-    for j, block in enumerate(classes):
-        vals = {f(s) for s in block}
-        if len(vals) > 1:
-            raise ValueError(f"function is not constant on class {j}: values {sorted(vals)}")
-        reps.append(vals.pop())
-    table = np.array(reps, dtype=float)
-    return ScalarFunction(lambda xs: table[np.asarray(xs, dtype=int)], lo=f.lo, hi=f.hi, name=f"proj({f.name})")

@@ -225,11 +225,6 @@ def cmd_count_colorings(args) -> int:
         raise ConfigError(f"cannot read graph file {args.graph!r}: {type(exc).__name__}: {exc}") from exc
     # counted before sampling, so an oversize cross-check refuses at once
     exact = brute_force_count(graph, args.k) if args.exact else None
-    lam = None
-    if args.lambda_bound is not None:
-        lam = float(args.lambda_bound)
-        if not 0.0 <= lam < 1.0:
-            raise ConfigError("--lambda must lie in [0, 1)")
     result = jvv_count(
         graph,
         args.k,
@@ -237,7 +232,7 @@ def cmd_count_colorings(args) -> int:
         args.delta,
         estimator=args.estimator,
         seed=args.seed,
-        lambda_bound=lam,
+        lambda_bound=args.lambda_bound,
     )
     payload = result.to_json()
     if args.exact:
@@ -414,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--estimator", default="dynamite", choices=["dynamite", "static-hoeffding"])
-    p.add_argument("--lambda", dest="lambda_bound", default=None)
+    p.add_argument("--lambda", dest="lambda_bound", type=float, default=None,
+                   help="bound on the raw chain's second absolute eigenvalue, in [0, 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", action="store_true", help="cross-check against brute force")
     p.add_argument("--out", default=None)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ from .chains import ScalarFunction, TransitionKernel
 from .errors import GuardError, StatisticalFailure
 from .estimators import ConcentrationParams, hoeffding_sample_complexity, static_estimate
 from .rng import CHAIN_A, PHASE, WARMUP, child_seed, stream
+from .spectral import MATRIX_CAP
 
 BRUTE_FORCE_CAP = 10 ** 8
 CHUNK = 4096  # path rows the Glauber sampler rebuilds per cumulative sum
@@ -234,18 +236,20 @@ def brute_force_count(graph: Graph, k: int) -> int:
     return rec(0)
 
 
-def exact_glauber_matrix(graph: Graph, k: int, *, lazy: bool = False, cap: int = 4096):
+def exact_glauber_matrix(graph: Graph, k: int, *, lazy: bool = False):
     """Enumerate the coloring chain for small instances: (states, matrix).
 
     Each of the n*k equally likely (vertex u, color c) proposals recolors u to
     c when no neighbour of u wears c and holds otherwise; this is the reference
-    law the sampler of ``glauber_kernel`` is tested against.
+    law the sampler of ``glauber_kernel`` is tested against.  Enumeration stops
+    one state past the dense cap ``MATRIX_CAP``, so an oversize graph is
+    refused at once.
     """
-    states = list(enumerate_colorings(graph, k))
+    states = list(itertools.islice(enumerate_colorings(graph, k), MATRIX_CAP + 1))
     if not states:
         raise GuardError(f"graph has no proper {k}-colorings")
-    if len(states) > cap:
-        raise GuardError(f"exact kernel capped at {cap} states, got {len(states)}")
+    if len(states) > MATRIX_CAP:
+        raise GuardError(f"exact kernel capped at {MATRIX_CAP} states: more proper {k}-colorings")
     index = {s: i for i, s in enumerate(states)}
     n = graph.n
     m = np.zeros((len(states), len(states)))
@@ -435,6 +439,16 @@ def coloring_space_size(n: int, k: int) -> float:
         ) from None
 
 
+def checked_lambda_bound(lambda_bound) -> Optional[float]:
+    """The caller's raw eigenvalue bound as a float, refused outside [0, 1); None passes."""
+    if lambda_bound is None:
+        return None
+    raw = float(lambda_bound)
+    if not 0.0 <= raw < 1.0:
+        raise ValueError(f"lambda_bound must lie in [0, 1), got {lambda_bound}")
+    return raw
+
+
 def coloring_lambda(graph: Graph, k: int, lambda_bound: Optional[float] = None):
     """The lazy Glauber chain's eigenvalue bound on ``graph``: (lazy lambda, source).
 
@@ -451,9 +465,7 @@ def coloring_lambda(graph: Graph, k: int, lambda_bound: Optional[float] = None):
     The hold makes the bound (1 + L)/2.
     """
     if lambda_bound is not None:
-        raw = float(lambda_bound)
-        if not 0.0 <= raw < 1.0:
-            raise ValueError(f"lambda_bound must lie in [0, 1), got {lambda_bound}")
+        raw = checked_lambda_bound(lambda_bound)
         source = "caller"
     elif k >= 2 * graph.d_max + 1:
         raw = 1.0 - (k - 2 * graph.d_max) / (k * graph.n)
@@ -515,6 +527,7 @@ def jvv_count(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if estimator not in ("dynamite", "static-hoeffding"):
         raise ValueError(f"unknown estimator {estimator!r}")
+    checked_lambda_bound(lambda_bound)
     order = _validated_order(graph, edge_order)
     if order and edge_order is None and lambda_bound is None:
         order = _jerrum_last_edge(graph.n, k, order)

@@ -19,6 +19,7 @@ from .adaptive import uniform_mixing_steps
 from .chains import ScalarFunction
 from .coloring import (
     Graph,
+    checked_lambda_bound,
     coloring_lambda,
     coloring_space_size,
     enumerate_colorings,
@@ -67,12 +68,6 @@ class PartitionedGraph:
 
     def members(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.communities == j)
-
-    def to_json(self) -> dict:
-        return {
-            "graph": self.graph.to_json(),
-            "communities": [int(c) for c in self.communities],
-        }
 
 
 def generate(params: PlantedParams, rng) -> PartitionedGraph:
@@ -141,6 +136,7 @@ def zeta_estimate(
     """
     if sample_count < 1:
         raise ValueError("sample count must be >= 1")
+    checked_lambda_bound(lambda_bound)
     cut = cut_set(pg, j)
     if not cut:
         return ZetaEstimate(value=0.0, radius=0.0, mode="exact", samples=0)

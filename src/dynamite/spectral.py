@@ -163,22 +163,8 @@ def summarize(chain, f) -> SpectralSummary:
     )
 
 
-def autocovariance(chain, f, lag: int, summary: Optional[SpectralSummary] = None) -> float:
-    """Exact stationary autocovariance C_lag = Cov(f(X_1), f(X_{1+lag}))."""
-    if lag < 0:
-        raise ValueError("lag must be nonnegative")
-    m = _as_matrix(chain)
-    vals = _function_values(f, m.shape[0])
-    s = summary if summary is not None else summarize(chain, vals)
-    centered = vals - s.mean
-    if lag == 0:
-        return float((s.stationary * centered) @ centered)
-    power = np.linalg.matrix_power(m, lag)
-    return float((s.stationary * centered) @ power @ centered)
-
-
 def exact_trace_variance(chain, f, T: int, summary: Optional[SpectralSummary] = None) -> VarianceProfile:
-    """Closed-form inter-trace variance from the autocovariance decomposition."""
+    """Closed-form inter-trace variance from the stationary autocovariances C_i."""
     if T < 1:
         raise ValueError(f"horizon T must be >= 1, got {T}")
     m = _as_matrix(chain)

@@ -19,10 +19,11 @@ def _glauber_path3_fixture():
 
 
 def _lazy_skewed_two_state():
-    base = dm.matrix_kernel(
-        np.array([[0.3, 0.7], [0.3, 0.7]]), "skewed-two-state", is_reversible=True
+    # hold with probability 1/2, else step the rank-one chain with rows (0.3, 0.7)
+    skewed = np.array([[0.3, 0.7], [0.3, 0.7]])
+    return dm.matrix_kernel(
+        0.5 * (np.eye(2) + skewed), "lazy(skewed-two-state)", is_lazy=True, is_reversible=True
     )
-    return dm.lazify(base)
 
 
 def lazy_reversible_registry():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import dynamite as dm
-from dynamite.errors import GuardError
 
 from _oracles import enumerate_trace_mean, stationary_nullspace, trace_chain_matrix, trace_chain_stationary
 
@@ -16,7 +15,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 class TestPath:
     def test_identity_chain_is_absorbing(self):
-        path = dm.identity_kernel(4).path(2, 3, np.random.default_rng(0))
+        path = dm.matrix_kernel(np.eye(4), "identity-4").path(2, 3, np.random.default_rng(0))
         assert list(path) == [2, 2, 2]
 
     def test_seed_determinism(self, cycle8):
@@ -48,7 +47,9 @@ class TestKernelValidation:
 SMALL_KERNELS = (
     dm.make_cycle(4),
     dm.make_two_state_uniform(),
-    dm.lazify(dm.matrix_kernel(np.array([[0.3, 0.7], [0.3, 0.7]]), "skew", is_reversible=True)),
+    dm.matrix_kernel(
+        0.5 * (np.eye(2) + [[0.3, 0.7], [0.3, 0.7]]), "lazy(skew)", is_lazy=True, is_reversible=True
+    ),
 )
 
 
@@ -188,49 +189,3 @@ class TestCycleFunction:
             dm.make_cycle_function(8, 3)
         with pytest.raises(ValueError):
             dm.make_cycle_function(8, 5)
-
-
-class TestProjectChain:
-    def test_parity_projection_of_cycle8(self):
-        projected = dm.project_chain(dm.make_cycle(8), dm.mod_partition(8, 2))
-        assert np.allclose(projected.matrix, [[0.5, 0.5], [0.5, 0.5]])
-
-    def test_mod4_projection_is_a_4_cycle(self):
-        projected = dm.project_chain(dm.make_cycle(8), dm.mod_partition(8, 4))
-        assert np.allclose(projected.matrix, dm.make_cycle(4).matrix)
-
-    def test_trivial_partition(self):
-        projected = dm.project_chain(dm.make_cycle(5), [list(range(5))])
-        assert np.allclose(projected.matrix, [[1.0]])
-
-    def test_nonlumpable_partition_names_the_pair(self):
-        with pytest.raises(GuardError, match=r"states 2 and 3"):
-            dm.project_chain(dm.make_cycle(8), [[0, 1], [2, 3, 4, 5, 6, 7]])
-
-    def test_every_block_width_partition_is_lumpable(self):
-        for n in (4, 6, 8, 12, 16):
-            for i in range(1, n // 2 + 1):
-                if n % (2 * i) == 0:
-                    dm.project_chain(dm.make_cycle(n), dm.mod_partition(n, 2 * i))
-
-    def test_projected_function(self):
-        f = dm.make_cycle_function(8, 2)
-        blocks = dm.mod_partition(8, 4)
-        induced = dm.project_function(f, blocks)
-        assert [induced(c) for c in range(4)] == [0, 0, 1, 1]
-
-
-class TestLazify:
-    def test_matrix_and_bound(self):
-        base = dm.matrix_kernel(np.array([[0.3, 0.7], [0.3, 0.7]]), "skew", is_reversible=True)
-        lazy = dm.lazify(base)
-        assert np.allclose(lazy.matrix, [[0.65, 0.35], [0.15, 0.85]])
-        assert lazy.is_lazy and lazy.is_reversible
-
-    def test_path_follows_lazified_matrix(self):
-        lazy = dm.lazify(dm.matrix_kernel(np.array([[0.3, 0.7], [0.3, 0.7]]), "skew"))
-        path = np.asarray(lazy.path(0, 20_000, np.random.default_rng(8)))
-        prev = np.concatenate([[0], path[:-1]])
-        for s in (0, 1):
-            moved = np.mean(path[prev == s] != s)
-            assert abs(moved - (1.0 - lazy.matrix[s, s])) < 0.03, s

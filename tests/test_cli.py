@@ -131,6 +131,18 @@ class TestCountColorings:
         assert payload["estimate"] == "32"
         assert payload["total_steps"] == 0
 
+    @pytest.mark.parametrize("bound", ["1.5", "abc"])
+    def test_bad_lambda_exits_two_on_an_edgeless_graph(self, tmp_path, bound):
+        # an edgeless count needs no bound, and a bad one is refused all the same
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"n": 3, "edges": []}))
+        args = ["count-colorings", "--graph", str(path), "--k", "3", "--lambda", bound]
+        try:
+            code = run_cli(args)
+        except SystemExit as exc:  # argparse refuses a non-float before the command runs
+            code = exc.code
+        assert code == EXIT_CONFIG
+
     def test_color_floor_guard_exit_three(self, tmp_path, capsys):
         path = tmp_path / "tri2.json"
         two_triangles = dm.Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -137,6 +138,13 @@ class TestGlauberStep:
 
 
 class TestExactKernel:
+    def test_oversize_graph_is_refused_before_full_enumeration(self):
+        # 5^9 = 1,953,125 proper colorings: enumerating all of them would take seconds
+        started = time.perf_counter()
+        with pytest.raises(GuardError, match="capped at 4096"):
+            dm.exact_glauber_matrix(dm.Graph(9, ()), 5)
+        assert time.perf_counter() - started < 1.0
+
     def test_reversibility_wrt_uniform(self):
         for graph, k in ((PATH3, 3), (dm.Graph(2, ((0, 1),)), 3), (C4, 3)):
             states, matrix = dm.exact_glauber_matrix(graph, k, lazy=True)
@@ -391,13 +399,16 @@ class TestColoringLambda:
             assert dm.ergodicity_floor(graph, order) <= k
 
     @pytest.mark.parametrize("bound", [1.5, -3.0, math.nan, 1.0])
-    @pytest.mark.parametrize("caller", ["dynamite", "static-hoeffding", "zeta"])
+    @pytest.mark.parametrize("caller", ["dynamite", "static-hoeffding", "edgeless", "zeta", "zeta-exact"])
     def test_caller_bound_outside_the_unit_interval_is_refused_before_sampling(self, caller, bound, monkeypatch):
+        # "edgeless" and "zeta-exact" never use a bound: they are refused all the same
         monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+        pg = dm.PartitionedGraph(graph=C4, communities=np.array([0, 0, 1, 1]))
         with pytest.raises(ValueError, match="lambda_bound"):
-            if caller == "zeta":
-                pg = dm.PartitionedGraph(graph=C4, communities=np.array([0, 0, 1, 1]))
-                dm.zeta_estimate(pg, 0, 5, 10, exact=False, lambda_bound=bound)
+            if caller == "edgeless":
+                dm.jvv_count(dm.Graph(3, ()), 3, 0.25, 0.25, lambda_bound=bound)
+            elif caller.startswith("zeta"):
+                dm.zeta_estimate(pg, 0, 5, 10, exact=caller == "zeta-exact", lambda_bound=bound)
             else:
                 dm.jvv_count(C4, 3, 0.25, 0.25, estimator=caller, lambda_bound=bound)
 

@@ -137,8 +137,8 @@ class TestBernsteinRadius:
 class TestStaticEstimate:
     def test_identity_chain_returns_start_value(self):
         f = dm.indicator_function([2])
-        assert dm.static_estimate(dm.identity_kernel(4), f, 5, 2, rng=0) == 1.0
-        assert dm.static_estimate(dm.identity_kernel(4), f, 5, 1, rng=0) == 0.0
+        assert dm.static_estimate(dm.matrix_kernel(np.eye(4), "identity-4"), f, 5, 2, rng=0) == 1.0
+        assert dm.static_estimate(dm.matrix_kernel(np.eye(4), "identity-4"), f, 5, 1, rng=0) == 0.0
 
     def test_rejects_bad_inputs(self, cycle8, cycle8_f1):
         with pytest.raises(ValueError, match="sample count"):

@@ -6,7 +6,12 @@ into the estimator loop.  The coloring counts and the sampled zeta were
 recorded again when each counting phase took its eigenvalue bound from its own
 sampling graph (the Jerrum path-coupling bound where k >= 2 d_max + 1), which
 changed their trace lengths, warm-ups and step counts; the caller-bound count
-was added then.  Any change to a sampled state, an estimate, a schedule or a
+was added then.  ``warm_start_lazy_skewed`` was recorded again when its
+kernel became a ``matrix_kernel`` over the lazy matrix 0.5 (I + M): the
+matrix is the same, but that sampler draws one uniform per step where the
+former hold-then-step wrapper drew a hold and then a base step, so the same
+seed walks another path (estimate 0.684426 -> 0.697404, same steps and
+schedule).  Any change to a sampled state, an estimate, a schedule or a
 step count shows up here as a payload mismatch.  To record the file again from
 a given revision::
 
@@ -32,9 +37,12 @@ def _cycle8():
 
 
 def _lazy_skewed():
-    # lazify's sampler steps the base kernel's path sampler one step at a time
-    base = dm.matrix_kernel(np.array([[0.3, 0.7], [0.3, 0.7]]), "skewed-two-state", is_reversible=True)
-    return dm.lazify(base), dm.indicator_function([1])
+    # hold with probability 1/2, else step the rank-one chain with rows (0.3, 0.7)
+    skewed = np.array([[0.3, 0.7], [0.3, 0.7]])
+    kernel = dm.matrix_kernel(
+        0.5 * (np.eye(2) + skewed), "lazy(skewed-two-state)", is_lazy=True, is_reversible=True
+    )
+    return kernel, dm.indicator_function([1])
 
 
 def _c4():

@@ -51,29 +51,34 @@ class TestSummarize:
 
 
 class TestAutocovariance:
+    """The autocovariances C_1 .. C_{T-1} that ``exact_trace_variance`` reports."""
+
     def test_rank_one_chain_has_no_memory(self):
         f = np.array([0.0, 1.0])
-        for lag in range(1, 6):
-            assert dm.autocovariance(RANK_ONE, f, lag) == pytest.approx(0.0, abs=1e-14)
+        covs = dm.exact_trace_variance(RANK_ONE, f, 6).autocovariances
+        assert covs == pytest.approx(np.zeros(5), abs=1e-14)
 
     def test_constant_function(self):
         f = np.full(4, 0.7)
-        assert dm.autocovariance(dm.make_cycle(4).matrix, f, 3) == pytest.approx(0.0, abs=1e-14)
+        lag = 3
+        c = dm.exact_trace_variance(dm.make_cycle(4).matrix, f, lag + 1).autocovariances[lag - 1]
+        assert c == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_path_enumeration(self):
         kernel = dm.make_cycle(4)
         f = dm.indicator_function([1, 2])
         fvals = f.values(np.arange(4))
         pi = stationary_nullspace(kernel.matrix)
+        covs = dm.exact_trace_variance(kernel, f, 4).autocovariances
         for lag in (1, 2, 3):
             expected = enumerate_autocovariance(kernel.matrix, pi, fvals, lag)
-            assert dm.autocovariance(kernel, f, lag) == pytest.approx(expected, abs=1e-12)
+            assert covs[lag - 1] == pytest.approx(expected, abs=1e-12)
 
     def test_decay_bound_on_registry(self, registry):
         for name, kernel, f in registry:
             s = dm.summarize(kernel, f)
-            for lag in range(1, 21):
-                c = dm.autocovariance(kernel, f, lag, summary=s)
+            covs = dm.exact_trace_variance(kernel, f, 21, summary=s).autocovariances
+            for lag, c in enumerate(covs, start=1):
                 bound = s.second_eigenvalue ** lag * s.stationary_variance
                 assert c <= bound + 1e-10, (name, lag)
                 assert c >= -1e-10, (name, lag)  # lazy chains have nonnegative memory
@@ -166,13 +171,16 @@ class TestCycleSeparation:
 
 class TestProjectionConsistency:
     def test_trace_variance_survives_lumping(self):
+        # lumped by residue mod 2i, the lazy n-cycle is the lazy 2i-cycle (the uniform
+        # two-state chain when 2i = 2) and block-f_i is that cycle's own block function
         for n, i in ((8, 1), (8, 2), (16, 2), (16, 4)):
             kernel = dm.make_cycle(n)
             f = dm.make_cycle_function(n, i)
-            blocks = dm.mod_partition(n, 2 * i)
-            projected = dm.project_chain(kernel, blocks)
-            induced = dm.project_function(f, blocks)
+            if i == 1:
+                lumped, induced = dm.make_two_state_uniform(), dm.indicator_function([1])
+            else:
+                lumped, induced = dm.make_cycle(2 * i), dm.make_cycle_function(2 * i, i)
             for horizon in (1, 8, 32):
                 full = dm.exact_trace_variance(kernel, f, horizon).trace_variance
-                lumped = dm.exact_trace_variance(projected, induced, horizon).trace_variance
-                assert full == pytest.approx(lumped, abs=1e-10), (n, i, horizon)
+                reduced = dm.exact_trace_variance(lumped, induced, horizon).trace_variance
+                assert full == pytest.approx(reduced, abs=1e-10), (n, i, horizon)
