@@ -17,6 +17,9 @@ One estimator loop with two entry points on top of it:
 
 Samples are cumulative: chains are extended across iterations, never
 restarted, so the total cost is the final schedule size, not its sum.
+Block means are taken in slices of about ``CHUNK`` states and written into
+buffers sized for the whole schedule; each mean is computed on its own row,
+so slicing changes no bit of it.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import ScalarFunction, TransitionKernel
+from .chains import CHUNK, ScalarFunction, TransitionKernel
 from .estimators import (
     ConcentrationParams,
     PairedEvaluations,
@@ -173,6 +176,18 @@ def _degenerate_report(f, seed, epsilon, delta, lambda_bound, trace_length):
     )
 
 
+def _block_means(f: ScalarFunction, path, t: int, out: np.ndarray) -> None:
+    """Write the means of f over the consecutive length-t blocks of ``path`` into ``out``.
+
+    Slices of about ``CHUNK`` states are evaluated at a time, and each slice's
+    values are range-checked by ``f.values``.
+    """
+    rows = max(1, CHUNK // t)
+    for lo in range(0, len(out), rows):
+        hi = min(lo + rows, len(out))
+        out[lo:hi] = f.values(path[lo * t:hi * t]).reshape(hi - lo, t).mean(axis=1)
+
+
 def mcmc_pro(
     initial_pair,
     kernel: TransitionKernel,
@@ -208,7 +223,8 @@ def mcmc_pro(
     kernel.check_start(state_a)
     kernel.check_start(state_b)
 
-    chunks_a, chunks_b = [], []
+    means_a = np.empty(schedule.sizes[-1])
+    means_b = np.empty(schedule.sizes[-1])
     records = []
     termination = SCHEDULE_EXHAUSTED
     previous = 0
@@ -218,13 +234,11 @@ def mcmc_pro(
         path_b = kernel.path(state_b, grow * t, rng_b)
         state_a = path_a[-1]
         state_b = path_b[-1]
-        chunks_a.append(f.values(path_a).reshape(grow, t).mean(axis=1))
-        chunks_b.append(f.values(path_b).reshape(grow, t).mean(axis=1))
+        _block_means(f, path_a, t, means_a[previous:m_i])
+        _block_means(f, path_b, t, means_b[previous:m_i])
         previous = m_i
 
-        paired = PairedEvaluations(
-            np.concatenate(chunks_a), np.concatenate(chunks_b), stream_a=CHAIN_A, stream_b=CHAIN_B
-        )
+        paired = PairedEvaluations(means_a[:m_i], means_b[:m_i], stream_a=CHAIN_A, stream_b=CHAIN_B)
         params = ConcentrationParams(
             lambda_bound=block_lambda,
             value_range=f.value_range,

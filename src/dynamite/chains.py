@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
+CHUNK = 1 << 14  # steps per block of the cycle sampler; states per slice of the block means
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,8 +87,10 @@ class ScalarFunction:
     """Bounded real function on states with a declared range [lo, hi].
 
     ``batch`` is the one evaluator: it maps an array of states (first axis
-    indexes states) to their values.  Calling the function on one state
-    evaluates a batch of one.  Every evaluation checks the declared range.
+    indexes states) to their values, each state's value independent of the
+    rest of the batch, so that a path evaluated in slices gives the same
+    values.  Calling the function on one state evaluates a batch of one.
+    Every evaluation checks the declared range.
     """
 
     batch: Callable[[np.ndarray], np.ndarray]
@@ -162,19 +165,35 @@ def make_cycle(n: int) -> TransitionKernel:
 
     Stationary distribution is uniform and the second absolute eigenvalue is
     exactly cos(pi/n)^2, so the relaxation time grows as Theta(n^2).
+
+    The sampler draws one integer in 0..3 per step (0 steps back, 3 forward,
+    1 and 2 hold) and fills an int32 path in blocks of ``CHUNK`` steps: it
+    maps a block's draws to steps, sums them cumulatively from the previous
+    block's last state, and reduces the block mod n.  Drawing the integers
+    block by block consumes the generator exactly as one whole draw does, so
+    the path and the generator's next draw match the unblocked walk.
     """
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
+    rows = np.arange(n)
     m = np.zeros((n, n))
-    for i in range(n):
-        m[i, i] = 0.5
-        m[i, (i + 1) % n] += 0.25
-        m[i, (i - 1) % n] += 0.25
+    m[rows, rows] = 0.5
+    m[rows, (rows + 1) % n] += 0.25
+    m[rows, (rows - 1) % n] += 0.25
 
     def sample_path(start, k, rng):
-        r = rng.integers(0, 4, size=k)
-        inc = (r == 3).astype(np.int64) - (r == 0).astype(np.int64)
-        return (int(start) + np.cumsum(inc)) % n
+        out = np.empty(k, dtype=np.int32)
+        x = int(start)
+        for lo in range(0, k, CHUNK):
+            block = out[lo:lo + CHUNK]
+            draws = rng.integers(0, 4, size=len(block), dtype=np.int32)
+            np.cumsum(((draws + 1) >> 1) - 1, out=block)  # draws 0, 1, 2, 3 step -1, 0, 0, +1
+            block += x
+            # v mod n as v - n * (v // n): numpy floor-divides by a scalar with a precomputed
+            # multiply and shift, where np.remainder runs one hardware division per state
+            block -= n * (block // n)
+            x = int(block[-1])
+        return out
 
     return TransitionKernel(
         name=f"cycle-{n}",
@@ -189,7 +208,9 @@ def make_cycle_function(n: int, i: int) -> ScalarFunction:
     """Binary block function on the n-cycle: 0 on residues ``x mod 2i < i``, else 1.
 
     Requires 2i | n so that under the uniform stationary law the mean is
-    exactly 1/2 and the variance exactly 1/4 for every admissible i.
+    exactly 1/2 and the variance exactly 1/4 for every admissible i.  The
+    batch looks states up in a length-n table and refuses any state outside
+    0..n-1.
     """
     if not 1 <= i <= n // 2:
         raise ValueError(f"block half-width must satisfy 1 <= i <= n/2, got i={i}, n={n}")
@@ -198,10 +219,13 @@ def make_cycle_function(n: int, i: int) -> ScalarFunction:
             f"2i must divide n for equal block masses (got n={n}, i={i}); "
             "otherwise the stationary mean is not 1/2"
         )
-    period = 2 * i
+    table = ((np.arange(n) % (2 * i)) >= i).astype(float)
 
     def batch(xs):
-        return ((np.asarray(xs) % period) >= i).astype(float)
+        xs = np.asarray(xs)
+        if xs.size and not (xs.min() >= 0 and xs.max() < n):
+            raise ValueError(f"block-f{i}: states must lie in 0..{n - 1}, got [{xs.min()}, {xs.max()}]")
+        return np.take(table, xs)
 
     return ScalarFunction(batch, lo=0.0, hi=1.0, name=f"block-f{i}")
 

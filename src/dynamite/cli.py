@@ -50,7 +50,7 @@ from .estimators import (
 )
 from .planted import PlantedParams, cut_set, generate
 from .rng import REPLICATE, child_seed, stream
-from .spectral import check_sandwich, exact_trace_variance, summarize
+from .spectral import MATRIX_CAP, check_sandwich, exact_trace_variance, summarize
 
 OUT_DIR_ENV = "DYNAMITE_OUT_DIR"
 
@@ -89,6 +89,9 @@ def _build_chain(args):
     if args.chain == "cycle":
         if args.n is None:
             raise ConfigError("--chain cycle needs --n")
+        # every command analyses the chain densely; refuse before the n x n matrix exists
+        if args.n > MATRIX_CAP:
+            raise GuardError(f"dense analysis capped at {MATRIX_CAP} states, got --n {args.n}")
         return make_cycle(args.n)
     if args.chain == "two-state":
         return make_two_state_uniform()

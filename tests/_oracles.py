@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's closed forms: stationary
 vectors come from a null-space solve, autocovariances and trace variances
 from explicit path enumeration, trace-chain matrices from enumerating trace
 pairs, and step counts from a wrapper that tallies every sampled step; the
-Glauber sampler and the degeneracy peel have plain-loop reference versions.
+cycle sampler has its unblocked whole-path version, and the Glauber sampler
+and the degeneracy peel have plain-loop reference versions.
 So agreement is a genuine cross-check.
 """
 import itertools
@@ -129,6 +130,13 @@ def counting_kernel(kernel):
         validate_start=kernel.validate_start,
     )
     return wrapped, counter
+
+
+def reference_cycle_path(n, start, steps, rng):
+    """The lazy n-cycle sampler as one whole-path draw and cumulative sum."""
+    r = rng.integers(0, 4, size=steps)
+    inc = (r == 3).astype(np.int64) - (r == 0).astype(np.int64)
+    return (int(start) + np.cumsum(inc)) % n
 
 
 def reference_glauber_path(graph, k, state, steps, rng):

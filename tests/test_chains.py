@@ -5,10 +5,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynamite as dm
+from dynamite.chains import CHUNK
 
-from _oracles import enumerate_trace_mean, stationary_nullspace, trace_chain_matrix, trace_chain_stationary
+from _oracles import (
+    enumerate_trace_mean,
+    reference_cycle_path,
+    stationary_nullspace,
+    trace_chain_matrix,
+    trace_chain_stationary,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -165,6 +174,22 @@ class TestCycle:
         with pytest.raises(ValueError):
             dm.make_cycle(2)
 
+    @given(
+        st.integers(3, 64),
+        st.data(),
+        st.sampled_from((0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)),  # around the block boundaries
+        st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_path_replays_the_unblocked_walk(self, n, data, steps, seed):
+        start = data.draw(st.integers(0, n - 1))
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = reference_cycle_path(n, start, steps, ref_rng)
+        path = dm.make_cycle(n).path(start, steps, rng)
+        assert path.dtype == np.int32 and path.shape == (steps,)
+        assert np.array_equal(path, expected)
+        assert rng.random() == ref_rng.random()
+
 
 class TestCycleFunction:
     def test_block_values_n8_i2(self):
@@ -183,6 +208,23 @@ class TestCycleFunction:
             vals = f.values(np.arange(n))
             assert vals.mean() == pytest.approx(0.5, abs=1e-15)
             assert vals.var() == pytest.approx(0.25, abs=1e-15)
+
+    def test_table_matches_the_residue_rule_on_every_state(self):
+        for n in range(2, 33):
+            for i in range(1, n // 2 + 1):
+                if n % (2 * i) == 0:
+                    states = np.arange(n)
+                    expected = ((states % (2 * i)) >= i).astype(float)
+                    assert np.array_equal(dm.make_cycle_function(n, i).values(states), expected), (n, i)
+
+    def test_states_outside_the_cycle_are_refused(self):
+        # -1 must not wrap to the last table entry, and n must not be reduced mod 2i
+        f = dm.make_cycle_function(8, 2)
+        for bad in (-1, 8):
+            with pytest.raises(ValueError, match=r"states must lie in 0\.\.7"):
+                f(bad)
+            with pytest.raises(ValueError, match="states must lie in"):
+                f.values(np.array([0, 3, bad, 5], dtype=np.int32))
 
     def test_rejects_nondividing_width(self):
         with pytest.raises(ValueError, match="divide"):

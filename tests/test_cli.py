@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 import dynamite as dm
 from dynamite.cli import BENCH_COLUMNS, EXIT_CONFIG, EXIT_GUARD, main
+from dynamite.spectral import MATRIX_CAP
 
 
 def run_cli(args):
@@ -100,6 +102,22 @@ class TestEstimate:
         ])
         assert code == EXIT_CONFIG
         assert "--replicates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ("4097", "50000"))
+    @pytest.mark.parametrize("command", (
+        ["analyze-chain"],
+        ["estimate", "--method", "dynamite", "--epsilon", "0.1", "--delta", "0.1"],
+    ))
+    def test_oversize_cycle_exits_three_before_the_matrix(self, command, n, capsys, monkeypatch):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("built the cycle before the size guard")
+
+        monkeypatch.setattr("dynamite.cli.make_cycle", no_matrix)
+        started = time.perf_counter()
+        code = run_cli(command + ["--chain", "cycle", "--n", n, "--fn", "cycle-f", "--i", "1"])
+        assert code == EXIT_GUARD
+        assert time.perf_counter() - started < 1.0
+        assert f"capped at {MATRIX_CAP} states" in capsys.readouterr().err
 
 
 class TestCountColorings:

@@ -19,6 +19,8 @@ a given revision::
 """
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,6 +30,7 @@ import pytest
 import dynamite as dm
 
 DATA = Path(__file__).parent / "data" / "replay.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CYCLE8_LAMBDA = math.cos(math.pi / 8) ** 2  # T = 5
 
@@ -139,6 +142,38 @@ def test_recording_covers_every_case(recorded):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_payload_matches_recording(name, recorded):
     assert payload(name) == recorded[name]
+
+
+OPTIMIZED_CASES = ("dynamite_cycle8", "mcmc_pro_cycle8", "warm_start_cycle8")
+OPTIMIZED_SCRIPT = """
+import json, sys
+import test_replay
+kernel, f = test_replay._cycle8()
+refused = []
+for check in (lambda: f(8), lambda: f.values([0, -1]), lambda: kernel.check_start(8)):
+    try:
+        check()
+    except ValueError:
+        refused.append(True)
+    else:
+        refused.append(False)
+json.dump({"payloads": {name: test_replay.payload(name) for name in sys.argv[1:]}, "refused": refused},
+          sys.stdout)
+"""
+
+
+def test_cycle_payloads_and_state_checks_survive_optimized_mode(recorded):
+    # python -O strips asserts: the cycle payloads must replay and out-of-range states still raise
+    path = os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, *OPTIMIZED_CASES],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["refused"] == [True, True, True]
+    for name in OPTIMIZED_CASES:
+        assert out["payloads"][name] == recorded[name], name
 
 
 if __name__ == "__main__":
