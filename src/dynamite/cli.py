@@ -339,7 +339,11 @@ def default_bench_problems(epsilon, delta, seed):
 
 
 def cmd_bench_compare(args) -> int:
+    if args.batches < 1:
+        raise ConfigError(f"--batches must be at least 1, got {args.batches}")
     names = [p for p in (args.problems.split(",") if args.problems else []) if p]
+    if not names:
+        raise ConfigError(f"--problems names no problem, got {args.problems!r}")
     catalog = {p["name"]: p for p in default_bench_problems(args.epsilon, args.delta, args.seed)}
     unknown = [n for n in names if n not in catalog]
     if unknown:

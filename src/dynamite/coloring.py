@@ -133,7 +133,8 @@ def glauber_kernel(graph: Graph, k: int) -> TransitionKernel:
 
     The sampler draws every hold, vertex and color of the path up front, then
     walks only the proposed moves in chunks of ``CHUNK`` steps, records each
-    accepted move as a color change, and rebuilds the chunk's int16 rows by a
+    accepted move as its proposal index and color change, scatters the changes
+    into the chunk's int16 rows from arrays, and rebuilds the rows by a
     cumulative sum from the colors at its start.  Colors above the int16
     range are refused here, before any sampling.
     """
@@ -154,10 +155,9 @@ def glauber_kernel(graph: Graph, k: int) -> TransitionKernel:
             block = out[lo:hi]
             block[0] = colors
             moves = np.flatnonzero(~hold[lo:hi])
-            proposed_u, proposed_c = us[lo:hi][moves].tolist(), cs[lo:hi][moves].tolist()
-            moves = moves.tolist()
-            ts, vs, ds = [], [], []  # accepted moves: row, vertex, color change
-            for t, u, c in zip(moves, proposed_u, proposed_c):
+            proposed_u, proposed_c = us[lo:hi][moves], cs[lo:hi][moves]
+            accepted, changes = [], []  # accepted moves: proposal index, color change
+            for i, u, c in zip(range(len(moves)), proposed_u.tolist(), proposed_c.tolist()):
                 old = colors[u]
                 if old != c:
                     for w in adjacency[u]:
@@ -165,11 +165,12 @@ def glauber_kernel(graph: Graph, k: int) -> TransitionKernel:
                             break
                     else:
                         colors[u] = c
-                        ts.append(t)
-                        vs.append(u)
-                        ds.append(c - old)
-            if ts:
-                block[ts, vs] += ds
+                        accepted.append(i)
+                        changes.append(c - old)
+            # explicit dtypes: a chunk with no accepted move gives empty lists, and
+            # np.array([]) is float64, which can neither index nor add into int16 rows
+            acc = np.array(accepted, dtype=np.intp)
+            block[moves[acc], proposed_u[acc]] += np.array(changes, dtype=np.int16)
             np.cumsum(block, axis=0, out=block)
         return out
 

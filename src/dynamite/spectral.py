@@ -171,13 +171,12 @@ def exact_trace_variance(chain, f, T: int, summary: Optional[SpectralSummary] = 
     vals = _function_values(f, m.shape[0])
     s = summary if summary is not None else summarize(chain, vals)
     centered = vals - s.mean
-    weighted = s.stationary * centered
+    weighted = s.stationary * centered  # one step of m per lag: C_i = weighted @ m^i @ centered
     covs = np.empty(max(T - 1, 0))
-    power = np.eye(m.shape[0])
     acc = 0.0
     for i in range(1, T):
-        power = power @ m
-        c = float(weighted @ power @ centered)
+        weighted = weighted @ m
+        c = float(weighted @ centered)
         covs[i - 1] = c
         acc += (T - i) * c
     v = s.stationary_variance / T + 2.0 * acc / (T * T)

@@ -242,10 +242,17 @@ class TestGenPlanted:
 
 
 class TestBenchCompare:
-    def test_empty_problem_list_gives_header_only(self, capsys):
-        assert run_cli(["bench-compare", "--problems", "", "--batches", "3"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines == [",".join(BENCH_COLUMNS)]
+    @pytest.mark.parametrize("problems", ("", ","))
+    def test_empty_problem_list_is_config_error(self, problems, capsys):
+        assert run_cli(["bench-compare", "--problems", problems, "--batches", "3"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--problems" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("batches", ("0", "-2"))
+    def test_batches_below_one_is_config_error(self, batches, capsys):
+        assert run_cli(["bench-compare", "--problems", "cycle16-f1", "--batches", batches]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--batches" in captured.err and captured.out == ""
 
     def test_unknown_problem_is_config_error(self):
         assert run_cli(["bench-compare", "--problems", "nope"]) == EXIT_CONFIG

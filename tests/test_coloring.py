@@ -117,13 +117,25 @@ class TestGlauberStep:
     @given(small_graphs(), st.integers(0, 3), st.sampled_from(PATH_LENGTHS), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_path_replays_the_per_step_loop(self, graph, extra, steps, seed):
-        k = graph.degeneracy() + 2 + extra
+        k = graph.degeneracy() + 1 + extra
         start = dm.greedy_coloring(graph, k)
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = reference_glauber_path(graph, k, start, steps, ref_rng)
         path = dm.glauber_kernel(graph, k).path(start, steps, rng)
         assert path.dtype == expected.dtype and path.shape == expected.shape
         assert np.array_equal(path, expected)
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("graph, k", [(dm.Graph(1, ()), 1), (EDGE, 2)])
+    @pytest.mark.parametrize("steps", PATH_LENGTHS)
+    def test_frozen_chain_replays_the_per_step_loop(self, graph, k, steps):
+        # every proposal is rejected here, so no chunk has an accepted move to scatter
+        start = dm.greedy_coloring(graph, k)
+        ref_rng, rng = np.random.default_rng(steps), np.random.default_rng(steps)
+        expected = reference_glauber_path(graph, k, start, steps, ref_rng)
+        path = dm.glauber_kernel(graph, k).path(start, steps, rng)
+        assert path.dtype == expected.dtype and path.shape == expected.shape
+        assert np.array_equal(path, expected) and np.all(path == start)
         assert rng.random() == ref_rng.random()
 
     def test_properness_preserved_under_fuzz(self):

@@ -144,13 +144,17 @@ def test_payload_matches_recording(name, recorded):
     assert payload(name) == recorded[name]
 
 
-OPTIMIZED_CASES = ("dynamite_cycle8", "mcmc_pro_cycle8", "warm_start_cycle8")
+OPTIMIZED_CASES = (
+    "dynamite_cycle8", "mcmc_pro_cycle8", "warm_start_cycle8", "jvv_count_planted6_dynamite", "jvv_count_c4_static",
+)
 OPTIMIZED_SCRIPT = """
 import json, sys
 import test_replay
 kernel, f = test_replay._cycle8()
+glauber = test_replay.dm.glauber_kernel(test_replay._c4(), 3)
 refused = []
-for check in (lambda: f(8), lambda: f.values([0, -1]), lambda: kernel.check_start(8)):
+for check in (lambda: f(8), lambda: f.values([0, -1]), lambda: kernel.check_start(8),
+              lambda: glauber.check_start([1, 1, 2, 3])):
     try:
         check()
     except ValueError:
@@ -162,8 +166,9 @@ json.dump({"payloads": {name: test_replay.payload(name) for name in sys.argv[1:]
 """
 
 
-def test_cycle_payloads_and_state_checks_survive_optimized_mode(recorded):
-    # python -O strips asserts: the cycle payloads must replay and out-of-range states still raise
+def test_payloads_and_state_checks_survive_optimized_mode(recorded):
+    # python -O strips asserts: the cycle and counting payloads must replay, and out-of-range
+    # states and an improper coloring must still be refused
     path = os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, *OPTIMIZED_CASES],
@@ -171,7 +176,7 @@ def test_cycle_payloads_and_state_checks_survive_optimized_mode(recorded):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["refused"] == [True, True, True]
+    assert out["refused"] == [True, True, True, True]
     for name in OPTIMIZED_CASES:
         assert out["payloads"][name] == recorded[name], name
 
