@@ -16,10 +16,9 @@ One estimator loop with two entry points on top of it:
   failure budget tightened to delta/4 as the nonstationarity correction.
 
 Samples are cumulative: chains are extended across iterations, never
-restarted, so the total cost is the final schedule size, not its sum.
-Block means are taken in slices of about ``CHUNK`` states and written into
-buffers sized for the whole schedule; each mean is computed on its own row,
-so slicing changes no bit of it.
+restarted, so the total cost is the final schedule size, not its sum.  Each
+iteration walks both chains on by ``TransitionKernel.advance``, which returns
+the new block means, and the warm-up walks them by it for their last states.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import CHUNK, ScalarFunction, TransitionKernel
+from .chains import ScalarFunction, TransitionKernel
 from .estimators import (
     ConcentrationParams,
     PairedEvaluations,
@@ -176,18 +175,6 @@ def _degenerate_report(f, seed, epsilon, delta, lambda_bound, trace_length):
     )
 
 
-def _block_means(f: ScalarFunction, path, t: int, out: np.ndarray) -> None:
-    """Write the means of f over the consecutive length-t blocks of ``path`` into ``out``.
-
-    Slices of about ``CHUNK`` states are evaluated at a time, and each slice's
-    values are range-checked by ``f.values``.
-    """
-    rows = max(1, CHUNK // t)
-    for lo in range(0, len(out), rows):
-        hi = min(lo + rows, len(out))
-        out[lo:hi] = f.values(path[lo * t:hi * t]).reshape(hi - lo, t).mean(axis=1)
-
-
 def mcmc_pro(
     initial_pair,
     kernel: TransitionKernel,
@@ -220,8 +207,6 @@ def mcmc_pro(
     rng_a = stream(seed, CHAIN_A)
     rng_b = stream(seed, CHAIN_B)
     state_a, state_b = initial_pair
-    kernel.check_start(state_a)
-    kernel.check_start(state_b)
 
     means_a = np.empty(schedule.sizes[-1])
     means_b = np.empty(schedule.sizes[-1])
@@ -229,13 +214,9 @@ def mcmc_pro(
     termination = SCHEDULE_EXHAUSTED
     previous = 0
     for m_i in schedule.sizes:
-        grow = m_i - previous
-        path_a = kernel.path(state_a, grow * t, rng_a)
-        path_b = kernel.path(state_b, grow * t, rng_b)
-        state_a = path_a[-1]
-        state_b = path_b[-1]
-        _block_means(f, path_a, t, means_a[previous:m_i])
-        _block_means(f, path_b, t, means_b[previous:m_i])
+        steps = (m_i - previous) * t
+        state_a, means_a[previous:m_i] = kernel.advance(state_a, steps, rng_a, f, t)
+        state_b, means_b[previous:m_i] = kernel.advance(state_b, steps, rng_b, f, t)
         previous = m_i
 
         paired = PairedEvaluations(means_a[:m_i], means_b[:m_i], stream_a=CHAIN_A, stream_b=CHAIN_B)
@@ -327,14 +308,10 @@ def warm_start(
     """
     if not (kernel.is_lazy and kernel.is_reversible):
         raise ValueError(f"warm start needs a lazy reversible chain, got {kernel.name!r}")
-    kernel.check_start(start)
     tau_unif = uniform_mixing_steps(lambda_bound, pi_min)
-    x0, x1 = start, start
-    if tau_unif > 0:
-        rng_w = stream(seed, WARMUP)
-        path0 = kernel.path(x0, tau_unif, rng_w)
-        path1 = kernel.path(x1, tau_unif, rng_w)
-        x0, x1 = path0[-1], path1[-1]
+    rng_w = stream(seed, WARMUP)
+    x0, _ = kernel.advance(start, tau_unif, rng_w)
+    x1, _ = kernel.advance(start, tau_unif, rng_w)
     report = dynamite((x0, x1), kernel, lambda_bound, f, epsilon, delta / 4.0, seed)
     warmup = 2 * tau_unif
     return dataclasses.replace(report, warmup_steps=warmup, total_base_steps=report.total_base_steps + warmup)

@@ -1,11 +1,12 @@
 """Markov kernels and bounded functions on states.
 
 Every kernel has exactly one sampler, a path sampler ``(start, k, rng) -> k
-states``; ``TransitionKernel.path`` is the one sampling entry point.  Small
-chains (cycles, enumerated Glauber kernels) also carry an explicit
-row-stochastic matrix so the dense spectral oracle can analyse them; the
-samplers never require it.  Every function on states has exactly one
-evaluator, the vectorised ``batch``.
+states``.  Estimators consume a chain only through ``TransitionKernel.advance``,
+which walks it in pieces of at most ``CHUNK`` steps and returns the last state
+and the means of f over consecutive blocks.  Small chains (cycles, enumerated
+Glauber kernels) also carry an explicit row-stochastic matrix so the dense
+spectral oracle can analyse them; the samplers never require it.  Every
+function on states has exactly one evaluator, the vectorised ``batch``.
 
 A kernel carries no eigenvalue bound: the bound is a claim about the chain
 that the caller makes, and every estimator takes it as an argument.
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
-CHUNK = 1 << 14  # steps per block of the cycle sampler; states per slice of the block means
+CHUNK = 1 << 14  # most steps ``TransitionKernel.advance`` asks ``path`` for per call
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,6 +81,36 @@ class TransitionKernel:
     def path(self, start, length: int, rng: np.random.Generator):
         """Run ``length`` steps from ``start`` (excluded) and return the visited states."""
         return self.sample_path(start, length, rng)
+
+    def advance(self, state, steps: int, rng: np.random.Generator, f: Optional[ScalarFunction] = None,
+                block: int = 1):
+        """Run ``steps`` steps from ``state``: (last state, means of f over the length-``block`` blocks).
+
+        The start is checked first; with no steps it comes back as given, and
+        without ``f`` the means are None.  ``path`` is asked for at most
+        ``CHUNK`` steps per call, whole blocks when ``block <= CHUNK``, so at
+        most max(CHUNK, block) values of f exist at once.  Each mean is taken
+        over one contiguous row, so the means are bit for bit those of one
+        whole path ``p``, ``f.values(p).reshape(-1, block).mean(axis=1)``.
+        """
+        if block < 1 or steps < 0 or steps % block:
+            raise ValueError(f"kernel {self.name!r}: {steps} steps are not whole blocks of {block}")
+        self.check_start(state)
+        means = None if f is None else np.empty(steps // block)
+        span = max(1, CHUNK // block) * block  # whole blocks whose values are held at once
+        for lo in range(0, steps, span):
+            hi = min(lo + span, steps)
+            values = np.empty(hi - lo) if f is not None and hi - lo > CHUNK else None
+            for mid in range(lo, hi, CHUNK):
+                path = self.path(state, min(CHUNK, hi - mid), rng)
+                state = path[-1]
+                if values is not None:
+                    values[mid - lo:mid - lo + len(path)] = f.values(path)
+                elif f is not None:  # the span is this one path
+                    values = f.values(path)
+            if f is not None:
+                means[lo // block:hi // block] = values.reshape(-1, block).mean(axis=1)
+        return state, means
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,11 +198,11 @@ def make_cycle(n: int) -> TransitionKernel:
     exactly cos(pi/n)^2, so the relaxation time grows as Theta(n^2).
 
     The sampler draws one integer in 0..3 per step (0 steps back, 3 forward,
-    1 and 2 hold) and fills an int32 path in blocks of ``CHUNK`` steps: it
-    maps a block's draws to steps, sums them cumulatively from the previous
-    block's last state, and reduces the block mod n.  Drawing the integers
-    block by block consumes the generator exactly as one whole draw does, so
-    the path and the generator's next draw match the unblocked walk.
+    1 and 2 hold), maps the draws to steps, sums them cumulatively in int32
+    from the start, and reduces the path mod n.  ``advance`` asks for at most
+    ``CHUNK`` steps at a time; drawing the integers piece by piece consumes
+    the generator exactly as one whole draw does, so the path and the
+    generator's next draw match one whole walk.
     """
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
@@ -182,17 +213,12 @@ def make_cycle(n: int) -> TransitionKernel:
     m[rows, (rows - 1) % n] += 0.25
 
     def sample_path(start, k, rng):
-        out = np.empty(k, dtype=np.int32)
-        x = int(start)
-        for lo in range(0, k, CHUNK):
-            block = out[lo:lo + CHUNK]
-            draws = rng.integers(0, 4, size=len(block), dtype=np.int32)
-            np.cumsum(((draws + 1) >> 1) - 1, out=block)  # draws 0, 1, 2, 3 step -1, 0, 0, +1
-            block += x
-            # v mod n as v - n * (v // n): numpy floor-divides by a scalar with a precomputed
-            # multiply and shift, where np.remainder runs one hardware division per state
-            block -= n * (block // n)
-            x = int(block[-1])
+        draws = rng.integers(0, 4, size=k, dtype=np.int32)
+        out = np.cumsum(((draws + 1) >> 1) - 1, dtype=np.int32)  # draws 0, 1, 2, 3 step -1, 0, 0, +1
+        out += int(start)
+        # v mod n as v - n * (v // n): numpy floor-divides by a scalar with a precomputed
+        # multiply and shift, where np.remainder runs one hardware division per state
+        out -= n * (out // n)
         return out
 
     return TransitionKernel(

@@ -109,11 +109,9 @@ def _build_function(args, kernel) -> ScalarFunction:
     raise ConfigError(f"unknown function {args.fn!r}")
 
 
-def _lambda_for(args, kernel, f):
+def _lambda_for(args, summary):
     if args.lambda_bound == "oracle":
-        if kernel.matrix is None:
-            raise ConfigError("--lambda oracle needs a chain with an explicit matrix")
-        return summarize(kernel, f).second_eigenvalue
+        return summary.second_eigenvalue
     try:
         value = float(args.lambda_bound)
     except ValueError as exc:
@@ -189,7 +187,7 @@ def cmd_estimate(args) -> int:
     kernel = _build_chain(args)
     f = _build_function(args, kernel)
     summary = summarize(kernel, f)
-    lam = _lambda_for(args, kernel, f)
+    lam = _lambda_for(args, summary)
     reports = [
         _run_method(args.method, kernel, f, lam, summary, args.epsilon, args.delta,
                     child_seed(args.seed, REPLICATE, r), stream(args.seed, REPLICATE, r), args.start)

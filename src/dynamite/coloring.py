@@ -572,8 +572,7 @@ def jvv_count(
             steps = report.total_base_steps
         else:
             tau = uniform_mixing_steps(lazy_lambda, pi_min)
-            rng = stream(phase_seed, WARMUP)
-            state = kernel.path(start, tau, rng)[-1] if tau else start
+            state, _ = kernel.advance(start, tau, stream(phase_seed, WARMUP))
             m = hoeffding_sample_complexity(
                 ConcentrationParams(lambda_bound=lazy_lambda, value_range=1.0, delta_prime=delta_i, m=1),
                 eps_i,

@@ -147,5 +147,5 @@ def static_estimate(kernel: TransitionKernel, f: ScalarFunction, m: int, start, 
     """Classic fixed-size baseline: empirical mean over one length-m trace."""
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
-    kernel.check_start(start)
-    return float(np.mean(f.values(kernel.path(start, m, as_generator(rng)))))
+    _, means = kernel.advance(start, m, as_generator(rng), f, block=m)
+    return float(means[0])

@@ -168,12 +168,10 @@ def zeta_estimate(
     tau = uniform_mixing_steps(lazy_lambda, 1.0 / size) if warmup is None else int(warmup)
     spacing = max(1, stripped.n * k) if thin is None else int(thin)
     gen = stream(rng, WARMUP) if isinstance(rng, (int, np.integer)) else rng
-    state = greedy_coloring(stripped, k)
-    if tau:
-        state = kernel.path(state, tau, gen)[-1]
+    state, _ = kernel.advance(greedy_coloring(stripped, k), tau, gen)
     hits = 0.0
     for _ in range(sample_count):
-        state = kernel.path(state, spacing, gen)[-1]
+        state, _ = kernel.advance(state, spacing, gen)
         hits += indicator(state)
     p = hits / sample_count
     radius = 1.96 * math.sqrt(max(p * (1 - p), 1e-12) / sample_count)

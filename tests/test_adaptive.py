@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynamite as dm
-from dynamite.adaptive import DEGENERATE_RANGE, RADIUS_MET, SCHEDULE_EXHAUSTED, _block_means
-from dynamite.chains import CHUNK
+from dynamite.adaptive import DEGENERATE_RANGE, RADIUS_MET, SCHEDULE_EXHAUSTED
 from dynamite.rng import stream
 
 from _oracles import counting_kernel
@@ -94,6 +93,11 @@ class TestMcmcPro:
         with pytest.raises(ValueError, match="trace length"):
             dm.mcmc_pro((0, 4), cycle8, 0.5, cycle8_f1, 0.05, 0.1, seed=0, trace_length=0)
 
+    @pytest.mark.parametrize("pair", ((8, 4), (0, -1)))
+    def test_rejects_invalid_start(self, pair, cycle8, cycle8_f1):
+        with pytest.raises(ValueError, match="start state"):
+            dm.mcmc_pro(pair, cycle8, 0.5, cycle8_f1, 0.05, 0.1, seed=0)
+
     def test_early_stop_on_constant_function(self):
         # declared range [0, 1] but f is identically zero, so the radius
         # collapses as soon as the 10RL/m term allows it
@@ -124,46 +128,6 @@ class TestMcmcPro:
             for rec in report.iterations:
                 assert 0.0 <= rec.mean <= 1.0
                 assert 0.0 <= rec.variance <= 0.5
-
-
-def _cycle_path_and_functions(length, rng):
-    # irregular values make the summation order show in the last bits
-    table = rng.random(16)
-    irregular = dm.ScalarFunction(lambda xs: table[xs], lo=0.0, hi=1.0, name="irregular")
-    return dm.make_cycle(16).path(3, length, rng), (irregular, dm.make_cycle_function(16, 2))
-
-
-def _glauber_path_and_functions(length, rng):
-    graph = dm.Graph(4, ((0, 1), (1, 2), (2, 3)))
-    table = rng.random((6, 6))
-    pairwise = dm.ScalarFunction(lambda xs: table[xs[:, 0], xs[:, 2]], lo=0.0, hi=1.0, name="pairwise")
-    path = dm.glauber_kernel(graph, 5).path(dm.greedy_coloring(graph, 5), length, rng)
-    return path, (pairwise,)
-
-
-class TestBlockMeans:
-    """``mcmc_pro`` averages in slices of about CHUNK states; the means must match the whole-path ones."""
-
-    @pytest.mark.parametrize("t", (1, 18, 42, CHUNK - 1, CHUNK + 1))
-    @pytest.mark.parametrize("make", (_cycle_path_and_functions, _glauber_path_and_functions))
-    def test_sliced_means_equal_whole_path_means_bit_for_bit(self, t, make):
-        rows = max(1, CHUNK // t)
-        for blocks in (1, rows, 2 * rows + 1):
-            path, functions = make(blocks * t, np.random.default_rng(t + blocks))
-            for f in functions:
-                out = np.empty(blocks)
-                _block_means(f, path, t, out)
-                expected = f.values(path).reshape(blocks, t).mean(axis=1)
-                assert out.tobytes() == expected.tobytes(), (f.name, t, blocks)
-
-    def test_range_is_checked_in_the_last_slice(self):
-        t = 18
-        blocks = 2 * (CHUNK // t) + 1
-        path = np.zeros(blocks * t, dtype=np.int32)
-        path[-1] = 1
-        doubled = dm.ScalarFunction(lambda xs: 2.0 * xs, lo=0.0, hi=1.0, name="doubled")
-        with pytest.raises(ValueError, match="left its declared range"):
-            _block_means(doubled, path, t, np.empty(blocks))
 
 
 class TestDynamite:
@@ -211,6 +175,15 @@ class TestWarmStart:
         )
         with pytest.raises(ValueError, match="reversible"):
             dm.warm_start(0, nonrev, 0.9, 1 / 3, dm.indicator_function([1]), 0.1, 0.1, seed=0)
+
+    @pytest.mark.parametrize("lam", (0.0, math.cos(math.pi / 8) ** 2))
+    def test_rejects_invalid_start_with_or_without_warmup(self, lam, cycle8, cycle8_f1):
+        # with lambda 0 the warm-up is tau = 0 steps, and the start is still checked
+        with pytest.raises(ValueError, match="start state"):
+            dm.warm_start(8, cycle8, lam, 1 / 8, cycle8_f1, 0.05, 0.1, seed=0)
+        glauber = dm.glauber_kernel(dm.Graph(3, ((0, 1), (1, 2))), 3)
+        with pytest.raises(ValueError, match="proper coloring"):
+            dm.warm_start([1, 1, 2], glauber, lam, 1 / 27, dm.indicator_function([1]), 0.05, 0.1, seed=0)
 
     def test_quarter_delta_and_warmup_accounting(self, cycle8_f1):
         counted, counter = counting_kernel(dm.make_cycle(8))

@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,103 @@ class TestPath:
         steps = (steps + 1) % 4 - 1  # wrap to {-1, 0, +1}
         assert abs(np.mean(steps == 0) - 0.5) < 0.01
         assert abs(np.mean(steps == 1) - 0.25) < 0.01
+
+
+def _recording(kernel):
+    """``kernel`` with a sampler that keeps every path it returns, in order."""
+    pieces = []
+
+    def sample_path(state, k, rng):
+        pieces.append(kernel.sample_path(state, k, rng))
+        return pieces[-1]
+
+    return dataclasses.replace(kernel, sample_path=sample_path), pieces
+
+
+def _cycle_input(rng):
+    # irregular values make the summation order show in the last bits
+    table = rng.random(16)
+    irregular = dm.ScalarFunction(lambda xs: table[xs], lo=0.0, hi=1.0, name="irregular")
+    return dm.make_cycle(16), 3, (irregular, dm.make_cycle_function(16, 2))
+
+
+P4 = dm.Graph(4, ((0, 1), (1, 2), (2, 3)))
+
+
+def _glauber_input(rng):
+    table = rng.random((6, 6))
+    pairwise = dm.ScalarFunction(lambda xs: table[xs[:, 0], xs[:, 2]], lo=0.0, hi=1.0, name="pairwise")
+    return dm.glauber_kernel(P4, 5), dm.greedy_coloring(P4, 5), (pairwise,)
+
+
+class TestAdvance:
+    """``advance`` walks in pieces of at most CHUNK steps and averages each block on one row."""
+
+    @pytest.mark.parametrize("t", (1, 18, 42, CHUNK - 1, CHUNK + 1))
+    @pytest.mark.parametrize("make", (_cycle_input, _glauber_input))
+    def test_block_means_equal_whole_path_means_bit_for_bit(self, t, make):
+        rows = max(1, CHUNK // t)
+        for blocks in (1, rows, 2 * rows + 1):
+            rng = np.random.default_rng(t + blocks)
+            kernel, start, functions = make(rng)
+            for f in functions:
+                recording, pieces = _recording(kernel)
+                last, means = recording.advance(start, blocks * t, rng, f, t)
+                assert all(len(p) <= CHUNK and (t > CHUNK or len(p) % t == 0) for p in pieces)
+                path = np.concatenate(pieces)
+                assert np.array_equal(last, path[-1])
+                expected = f.values(path).reshape(blocks, t).mean(axis=1)
+                assert means.tobytes() == expected.tobytes(), (f.name, t, blocks)
+
+    def test_range_is_checked_in_the_last_piece(self):
+        t = 18
+        steps = (2 * (CHUNK // t) + 1) * t
+        counter = dm.TransitionKernel("counter", lambda s, k, rng: np.arange(s + 1, s + k + 1))
+        last_doubled = dm.ScalarFunction(lambda xs: 2.0 * (xs == steps), lo=0.0, hi=1.0, name="last-doubled")
+        with pytest.raises(ValueError, match="left its declared range"):
+            counter.advance(0, steps, None, last_doubled, t)
+
+    def test_steps_must_be_whole_blocks(self, cycle8, cycle8_f1):
+        for steps, block in ((10, 3), (5, 0), (-2, 1)):
+            with pytest.raises(ValueError, match="whole blocks"):
+                cycle8.advance(0, steps, np.random.default_rng(0), cycle8_f1, block)
+
+    def test_no_steps_returns_the_checked_start(self, cycle8):
+        assert cycle8.advance(5, 0, None) == (5, None)
+        with pytest.raises(ValueError, match="start state"):
+            cycle8.advance(8, 0, None)
+
+    @given(
+        st.sampled_from(("cycle", "matrix")),
+        st.sampled_from((1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5)),  # around the piece boundaries
+        st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_last_state_and_generator_match_one_path(self, which, steps, seed):
+        # the matrix kernel's rows differ, so it walks one uniform per step in Python
+        kernel = dm.make_cycle(7) if which == "cycle" else dm.matrix_kernel(dm.make_cycle(5).matrix, "cycle5-matrix")
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        last, means = kernel.advance(2, steps, rng_a)
+        assert means is None
+        assert last == kernel.path(2, steps, rng_b)[-1]
+        assert rng_a.random() == rng_b.random()
+
+    def test_memory_does_not_grow_with_the_steps(self):
+        kernel, start, (f,) = _glauber_input(np.random.default_rng(0))
+
+        def peak(steps, fn=None, block=1):
+            tracemalloc.start()
+            try:
+                _, means = kernel.advance(start, steps, np.random.default_rng(1), fn, block)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return top - (0 if means is None else means.nbytes)
+
+        warm = [peak(4 * CHUNK), peak(32 * CHUNK)]
+        assert abs(warm[1] - warm[0]) <= 64 * 2 ** 10, warm
+        for steps in (4 * CHUNK, 32 * CHUNK):
+            assert peak(steps, f, 64) < 4 * 2 ** 20
 
 
 class TestKernelValidation:
@@ -177,7 +276,7 @@ class TestCycle:
     @given(
         st.integers(3, 64),
         st.data(),
-        st.sampled_from((0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)),  # around the block boundaries
+        st.sampled_from((0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)),  # around advance's pieces
         st.integers(0, 2 ** 32 - 1),
     )
     @settings(max_examples=60, deadline=None)

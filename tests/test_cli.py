@@ -85,14 +85,33 @@ class TestEstimate:
         for report in payload["reports"]:
             assert report["total_base_steps"] == expected
 
-    def test_lambda_oracle_requires_matrix(self):
-        # both built-in chains carry matrices, so a bad explicit value is the error path
+    def test_lambda_outside_unit_interval_is_config_error(self):
         code = run_cli([
             "estimate", "--chain", "two-state", "--fn", "indicator",
             "--method", "dynamite", "--epsilon", "0.1", "--delta", "0.1",
             "--lambda", "1.5",
         ])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("bound", ("oracle", "0.9"))
+    def test_one_spectral_summary_per_run(self, bound, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dm.summarize(*args, **kwargs)
+
+        monkeypatch.setattr("dynamite.cli.summarize", counted)
+        code = run_cli([
+            "estimate", "--chain", "cycle", "--n", "8", "--fn", "cycle-f", "--i", "1",
+            "--method", "dynamite", "--epsilon", "0.1", "--delta", "0.2", "--lambda", bound,
+            "--replicates", "2", "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == 0
+        assert len(calls) == 1
+        if bound == "oracle":
+            lam = read_json(tmp_path / "out.json")["config"]["lambda_bound"]
+            assert lam == dm.summarize(dm.make_cycle(8), dm.make_cycle_function(8, 1)).second_eigenvalue
 
     def test_zero_replicates_is_config_error(self, capsys):
         code = run_cli([
