@@ -52,7 +52,7 @@ from .estimators import (
     two_chain_variance,
     variance_upper_bound,
 )
-from .planted import PartitionedGraph, PlantedParams, ZetaEstimate, cut_set, generate, zeta_estimate
+from .planted import PartitionedGraph, PlantedParams, cut_set, generate
 from .spectral import (
     SandwichVerdict,
     SpectralSummary,

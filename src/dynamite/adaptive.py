@@ -66,6 +66,13 @@ class Schedule:
                 raise ValueError(f"schedule sizes must at most double (plus ceiling slack), got {self.sizes}")
 
 
+def checked_lambda(lambda_bound: float) -> float:
+    """``lambda_bound``, refused with ValueError unless it lies in [0, 1) (nan included)."""
+    if not 0.0 <= lambda_bound < 1.0:
+        raise ValueError(f"lambda bound must lie in [0, 1), got {lambda_bound}")
+    return lambda_bound
+
+
 def build_schedule(value_range: float, epsilon: float, lambda_bound: float, delta: float) -> Schedule:
     """Compute I, alpha, and the sizes m_i = ceil(alpha 2^i) for the run.
 
@@ -79,8 +86,7 @@ def build_schedule(value_range: float, epsilon: float, lambda_bound: float, delt
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not 0.0 <= lambda_bound < 1.0:
-        raise ValueError(f"lambda bound must lie in [0, 1), got {lambda_bound}")
+    checked_lambda(lambda_bound)
     if value_range <= 0:
         raise ValueError("schedule needs a positive range; degenerate functions return immediately")
     iterations = max(1, math.floor(math.log2(value_range / (2 * epsilon))))
@@ -200,7 +206,7 @@ def mcmc_pro(
     if trace_length < 1:
         raise ValueError(f"trace length must be >= 1, got {trace_length}")
     t = trace_length
-    block_lambda = lambda_bound ** t
+    block_lambda = checked_lambda(lambda_bound) ** t
     if f.value_range == 0:
         return _degenerate_report(f, seed, epsilon, delta, block_lambda, t)
     schedule = build_schedule(f.value_range, epsilon, block_lambda, delta)
@@ -254,8 +260,7 @@ def mcmc_pro(
 
 def select_trace_length(lambda_bound: float) -> int:
     """Trace length bringing the block chain's relaxation time to at most 2."""
-    if not 0.0 <= lambda_bound < 1.0:
-        raise ValueError(f"lambda bound must lie in [0, 1), got {lambda_bound}")
+    checked_lambda(lambda_bound)
     return max(1, math.ceil((1 + lambda_bound) / (1 - lambda_bound) * LN_SQRT2 - _CEIL_NUDGE))
 
 
@@ -282,6 +287,7 @@ def dynamite(
 
 def uniform_mixing_steps(lambda_bound: float, pi_min: float) -> int:
     """Warm-up length ceil(ln(1/pi_min) / ln(1/Lambda)); zero when Lambda == 0."""
+    checked_lambda(lambda_bound)
     if not 0.0 < pi_min <= 1.0:
         raise ValueError(f"pi_min must lie in (0, 1], got {pi_min}")
     if lambda_bound == 0.0 or pi_min == 1.0:

@@ -68,21 +68,25 @@ class ConfigError(ValueError):
     pass
 
 
-def _resolve_out(path: str) -> str:
+def _resolve_out(out: str | None) -> str | None:
+    """``--out`` against ``DYNAMITE_OUT_DIR``; None, meaning stdout, stays None."""
     base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+    if out is not None and base and not os.path.isabs(out):
+        return os.path.join(base, out)
+    return out
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        path = _resolve_out(out)
+def _emit(payload, path: str | None) -> None:
+    """Write a dict as sorted, indented JSON (or a str as is) to a resolved path, or stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc
 
 
 def _build_chain(args):
@@ -136,7 +140,7 @@ def cmd_analyze_chain(args) -> int:
         if kernel.is_lazy and kernel.is_reversible
         else None,
     }
-    _emit(payload, args.out)
+    _emit(payload, _resolve_out(args.out))
     return 0
 
 
@@ -214,7 +218,7 @@ def cmd_estimate(args) -> int:
             "mean_steps": sum(rep["total_base_steps"] for rep in reports) / len(reports),
         },
     }
-    _emit(payload, args.out)
+    _emit(payload, _resolve_out(args.out))
     return 0
 
 
@@ -241,7 +245,7 @@ def cmd_count_colorings(args) -> int:
         payload["relative_error"] = (
             abs(math.exp(result.log_count) - exact) / exact if exact else None
         )
-    _emit(payload, args.out)
+    _emit(payload, _resolve_out(args.out))
     return 0
 
 
@@ -249,18 +253,14 @@ def cmd_gen_planted(args) -> int:
     params = PlantedParams(n=args.n, communities=args.r, within_prob=args.p, cross_mass=args.q)
     pg = generate(params, args.seed)
     out = _resolve_out(args.out)
-    with open(out, "w") as fh:
-        json.dump(pg.graph.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit(pg.graph.to_json(), out)
     sidecar = os.path.splitext(out)[0] + ".communities.json"
     meta = {
         "communities": [int(c) for c in pg.communities],
         "params": {"n": args.n, "r": args.r, "p": args.p, "q": args.q, "seed": args.seed},
         "cut_sizes": [len(cut_set(pg, j)) for j in range(args.r)],
     }
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit(meta, sidecar)
     sys.stdout.write(json.dumps({"graph": out, "sidecar": sidecar}) + "\n")
     return 0
 
@@ -363,12 +363,7 @@ def cmd_bench_compare(args) -> int:
                 writer.writerow(
                     [method, problem["name"], batch, steps, f"{err:.9f}", f"{cover:.1f}", f"{wall:.4f}"]
                 )
-    text = buf.getvalue()
-    if args.out:
-        with open(_resolve_out(args.out), "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(buf.getvalue(), _resolve_out(args.out))
     return 0
 
 

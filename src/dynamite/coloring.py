@@ -104,11 +104,18 @@ class Graph:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Graph":
-        return cls(n=int(payload["n"]), edges=tuple((int(u), int(v)) for u, v in payload["edges"]))
+        """Read ``to_json`` output; ``n`` and every endpoint must be JSON integers."""
+
+        def whole(x):
+            if type(x) is not int:  # refuses bools, floats and strings alike
+                raise TypeError(f"vertex count and ids must be integers, got {x!r}")
+            return x
+
+        return cls(n=whole(payload["n"]), edges=tuple((whole(u), whole(v)) for u, v in payload["edges"]))
 
 
 def is_proper(graph: Graph, coloring, k: Optional[int] = None) -> bool:
-    """True iff no edge is monochromatic; validates length and color range."""
+    """True iff every edge joins two different colors; validates length and color range."""
     colors = np.asarray(coloring, dtype=np.int64)
     if colors.shape != (graph.n,):
         raise ValueError(f"coloring must assign all {graph.n} vertices, got shape {colors.shape}")
@@ -333,12 +340,14 @@ def build_phase_sequence(graph: Graph, edge_order: Optional[Sequence] = None):
 
 
 def exact_phase_ratios(graph: Graph, k: int, edge_order: Optional[Sequence] = None):
-    """Brute-force per-phase ratios as exact fractions (oracle for the pipeline)."""
-    ratios = []
-    for phase in build_phase_sequence(graph, edge_order):
-        with_edge = Graph(graph.n, phase.order[: phase.index])
-        ratios.append(Fraction(brute_force_count(with_edge, k), brute_force_count(phase.sampling_graph, k)))
-    return ratios
+    """Brute-force per-phase ratios as exact fractions (oracle for the pipeline).
+
+    The graph with phase i's edge is phase i+1's sampling graph, so the #E + 1
+    prefix graphs of the order are each counted once.
+    """
+    order = _validated_order(graph, edge_order)
+    counts = [brute_force_count(Graph(graph.n, order[:i]), k) for i in range(len(order) + 1)]
+    return [Fraction(b, a) for a, b in zip(counts, counts[1:])]
 
 
 @dataclasses.dataclass(frozen=True)

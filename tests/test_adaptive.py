@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,21 @@ class TestTraceLengthAndWarmup:
             dm.uniform_mixing_steps(0.5, 0.0)
         with pytest.raises(ValueError):
             dm.uniform_mixing_steps(0.5, 1.5)
+
+
+@pytest.mark.parametrize("bound", [-0.5, 1.0, 1.5, math.nan])
+@pytest.mark.parametrize("entry", ["mcmc_pro", "mcmc_pro-constant", "warm_start", "uniform_mixing_steps"])
+def test_bad_lambda_is_refused_on_entry(entry, bound, cycle8, cycle8_f1):
+    # checked as given: -0.5 ** 2 would pass as a block bound, and a constant f returns early
+    const = dm.ScalarFunction(lambda xs: np.full(len(xs), 0.7), lo=0.7, hi=0.7, name="const")
+    with pytest.raises(ValueError, match=re.escape(f"lambda bound must lie in [0, 1), got {bound}")):
+        if entry == "uniform_mixing_steps":
+            dm.uniform_mixing_steps(bound, 1 / 8)
+        elif entry == "warm_start":
+            dm.warm_start(0, cycle8, bound, 1 / 8, cycle8_f1, 0.05, 0.1, seed=0)
+        else:
+            f = const if entry.endswith("constant") else cycle8_f1
+            dm.mcmc_pro((0, 4), cycle8, bound, f, 0.05, 0.1, seed=0, trace_length=2)
 
 
 class TestMcmcPro:

@@ -201,6 +201,18 @@ class TestCountColorings:
         err = capsys.readouterr().err
         assert "noedges.json" in err and "edges" in err
 
+    @pytest.mark.parametrize("payload", [
+        '{"n": 3.9, "edges": [[0, 1], [1, 2]]}',
+        '{"n": 3, "edges": [[0.9, 1.7], [1, 2]]}',
+        '{"n": 3, "edges": [[0, 1], [true, 2]]}',
+        '{"n": 3, "edges": [[0, 1], ["1", 2]]}',
+    ])
+    def test_graph_file_with_non_integer_ids_is_config_error(self, payload, tmp_path, capsys):
+        path = tmp_path / "loose.json"
+        path.write_text(payload)
+        assert run_cli(["count-colorings", "--graph", str(path), "--k", "3"]) == EXIT_CONFIG
+        assert "cannot read graph file" in capsys.readouterr().err
+
     def test_oversize_exact_refuses_before_sampling(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "path12.json"
         path.write_text(json.dumps(dm.Graph(12, tuple((i, i + 1) for i in range(11))).to_json()))
@@ -304,3 +316,20 @@ class TestBenchCompare:
             rows = list(csv.DictReader(fh))
         assert {r["method"] for r in rows} == {"dynamite", "static-hoeffding"}
         assert all(float(r["mean_abs_error"]) >= 0 for r in rows)
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--chain", "two-state", "--fn", "indicator", "--method", "dynamite",
+     "--epsilon", "0.1", "--delta", "0.2"],
+    ["count-colorings", "--graph", "{graph}", "--k", "3"],
+    ["gen-planted", "--n", "4", "--r", "2", "--p", "0.5", "--q", "0.2"],
+    ["bench-compare", "--problems", "cycle16-f1", "--batches", "1", "--epsilon", "0.1"],
+])
+def test_unwritable_out_exits_two_naming_the_path(command, tmp_path, capsys):
+    graph = tmp_path / "edgeless.json"
+    graph.write_text(json.dumps({"n": 3, "edges": []}))
+    out = str(tmp_path / "missing" / "x")
+    args = [str(graph) if a == "{graph}" else a for a in command]
+    assert run_cli(args + ["--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert out in err and "Traceback" not in err

@@ -216,9 +216,12 @@ class TestPhaseSequence:
 
 
 class TestTelescoping:
-    @pytest.mark.parametrize("graph,k", [(TRIANGLE, 3), (PATH3, 3), (C4, 3)])
-    def test_exact_ratios_telescope(self, graph, k):
-        ratios = dm.exact_phase_ratios(graph, k)
+    @pytest.mark.parametrize("graph,k,order", [
+        (TRIANGLE, 3, None), (PATH3, 3, None), (C4, 3, None), (C4, 3, ((3, 0), (1, 2), (0, 1), (2, 3))),
+    ])
+    def test_exact_ratios_telescope(self, graph, k, order):
+        ratios = dm.exact_phase_ratios(graph, k, order)
+        assert len(ratios) == len(graph.edges)
         product = Fraction(k ** graph.n)
         for r in ratios:
             product *= r
@@ -411,16 +414,13 @@ class TestColoringLambda:
             assert dm.ergodicity_floor(graph, order) <= k
 
     @pytest.mark.parametrize("bound", [1.5, -3.0, math.nan, 1.0])
-    @pytest.mark.parametrize("caller", ["dynamite", "static-hoeffding", "edgeless", "zeta", "zeta-exact"])
+    @pytest.mark.parametrize("caller", ["dynamite", "static-hoeffding", "edgeless"])
     def test_caller_bound_outside_the_unit_interval_is_refused_before_sampling(self, caller, bound, monkeypatch):
-        # "edgeless" and "zeta-exact" never use a bound: they are refused all the same
+        # "edgeless" never uses a bound: it is refused all the same
         monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
-        pg = dm.PartitionedGraph(graph=C4, communities=np.array([0, 0, 1, 1]))
         with pytest.raises(ValueError, match="lambda_bound"):
             if caller == "edgeless":
                 dm.jvv_count(dm.Graph(3, ()), 3, 0.25, 0.25, lambda_bound=bound)
-            elif caller.startswith("zeta"):
-                dm.zeta_estimate(pg, 0, 5, 10, exact=caller == "zeta-exact", lambda_bound=bound)
             else:
                 dm.jvv_count(C4, 3, 0.25, 0.25, estimator=caller, lambda_bound=bound)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import dynamite as dm
-from dynamite.errors import GuardError
 
 
 def bridge_fixture(k_unused=None):
@@ -95,55 +94,6 @@ class TestCutSet:
         permuted = dm.PartitionedGraph(graph=pg.graph, communities=(2 - pg.communities))
         sizes_permuted = sorted(len(dm.cut_set(permuted, j)) for j in range(3))
         assert sizes == sizes_permuted
-
-
-class TestZetaEstimate:
-    def test_empty_cut_is_exactly_zero(self):
-        params = dm.PlantedParams(n=6, communities=2, within_prob=1.0, cross_mass=0.0)
-        pg = dm.generate(params, 0)
-        z = dm.zeta_estimate(pg, 0, 4, 10)
-        assert z.value == 0.0 and z.mode == "exact"
-
-    def test_single_cut_edge_between_isolated_vertices(self):
-        graph = dm.Graph(2, ((0, 1),))
-        pg = dm.PartitionedGraph(graph=graph, communities=np.array([0, 1]))
-        for k in (2, 3, 5):
-            z = dm.zeta_estimate(pg, 0, k, 10)
-            assert z.mode == "exact"
-            assert z.value == pytest.approx(1.0 / k)
-
-    def test_bridge_fixture_matches_enumeration(self):
-        pg = bridge_fixture()
-        z = dm.zeta_estimate(pg, 0, 6, 10)
-        assert z.mode == "exact"
-        assert z.value == pytest.approx(1.0 / 6)
-
-    def test_monotone_in_colors(self):
-        pg = bridge_fixture()
-        values = [dm.zeta_estimate(pg, 0, k, 10).value for k in range(4, 9)]
-        for a, b in zip(values, values[1:]):
-            assert b <= a + 1e-12
-
-    def test_sampled_mode_agrees_with_exact(self):
-        pg = bridge_fixture()
-        exact = dm.zeta_estimate(pg, 0, 6, 10).value
-        sampled = dm.zeta_estimate(pg, 0, 6, 4000, rng=3, exact=False, warmup=2000, thin=36)
-        se = max((exact * (1 - exact) / 4000) ** 0.5, 1e-6)
-        assert sampled.mode == "sampled"
-        assert abs(sampled.value - exact) <= 3 * se + sampled.radius
-
-    def test_guards(self):
-        pg = bridge_fixture()
-        with pytest.raises(ValueError):
-            dm.zeta_estimate(pg, 0, 6, 0)
-        with pytest.raises(GuardError, match="d_max"):
-            dm.zeta_estimate(pg, 0, 3, 10)  # triangles survive cut removal, need k >= 4
-
-    def test_unrepresentable_size_is_refused(self):
-        graph = dm.Graph(460, tuple((i, i + 1) for i in range(459)))
-        pg = dm.PartitionedGraph(graph=graph, communities=np.repeat([0, 1], 230))
-        with pytest.raises(GuardError, match="n ln k"):
-            dm.zeta_estimate(pg, 0, 5, 10)
 
 
 class TestCutMassStatistics:
