@@ -33,6 +33,7 @@ from .estimators import (
     ConcentrationParams,
     PairedEvaluations,
     bernstein_radius,
+    checked_lambda,
     empirical_mean,
     two_chain_variance,
     variance_upper_bound,
@@ -64,13 +65,6 @@ class Schedule:
                 raise ValueError(f"schedule sizes must strictly increase, got {self.sizes}")
             if b > 2 * a + 1:
                 raise ValueError(f"schedule sizes must at most double (plus ceiling slack), got {self.sizes}")
-
-
-def checked_lambda(lambda_bound: float) -> float:
-    """``lambda_bound``, refused with ValueError unless it lies in [0, 1) (nan included)."""
-    if not 0.0 <= lambda_bound < 1.0:
-        raise ValueError(f"lambda bound must lie in [0, 1), got {lambda_bound}")
-    return lambda_bound
 
 
 def build_schedule(value_range: float, epsilon: float, lambda_bound: float, delta: float) -> Schedule:

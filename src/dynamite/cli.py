@@ -14,7 +14,8 @@ ergodicity), 4 statistical-run failure.
 All outputs are pure functions of (flags, files, seed); the bench-compare
 CSV's wall_clock_s column is the one deliberate exception, documented as
 non-reproducible.  Relative output paths resolve against the
-``DYNAMITE_OUT_DIR`` environment variable when it is set.
+``DYNAMITE_OUT_DIR`` environment variable when it is set, and an output path
+whose directory is missing or unwritable exits 2 before any sampling.
 
 JSON layouts are frozen by golden tests:
 
@@ -45,6 +46,7 @@ from .errors import GuardError, StatisticalFailure
 from .estimators import (
     ConcentrationParams,
     bernstein_sample_complexity,
+    checked_lambda,
     hoeffding_sample_complexity,
     static_estimate,
 )
@@ -69,11 +71,19 @@ class ConfigError(ValueError):
 
 
 def _resolve_out(out: str | None) -> str | None:
-    """``--out`` against ``DYNAMITE_OUT_DIR``; None, meaning stdout, stays None."""
+    """``--out`` against ``DYNAMITE_OUT_DIR``; None, meaning stdout, stays None.
+
+    A path whose directory is missing or unwritable is refused here, before
+    the command samples anything.
+    """
+    if out is None:
+        return None
     base = os.environ.get(OUT_DIR_ENV)
-    if out is not None and base and not os.path.isabs(out):
-        return os.path.join(base, out)
-    return out
+    path = os.path.join(base, out) if base and not os.path.isabs(out) else out
+    parent = os.path.dirname(path) or "."
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write output file {path!r}: {parent!r} is not a writable directory")
+    return path
 
 
 def _emit(payload, path: str | None) -> None:
@@ -120,9 +130,10 @@ def _lambda_for(args, summary):
         value = float(args.lambda_bound)
     except ValueError as exc:
         raise ConfigError(f"--lambda must be a float or 'oracle', got {args.lambda_bound!r}") from exc
-    if not 0.0 <= value < 1.0:
-        raise ConfigError("--lambda must lie in [0, 1)")
-    return value
+    try:
+        return checked_lambda(value)
+    except ValueError as exc:
+        raise ConfigError(f"--lambda: {exc}") from exc
 
 
 def cmd_analyze_chain(args) -> int:
@@ -140,7 +151,7 @@ def cmd_analyze_chain(args) -> int:
         if kernel.is_lazy and kernel.is_reversible
         else None,
     }
-    _emit(payload, _resolve_out(args.out))
+    _emit(payload, args.out)
     return 0
 
 
@@ -218,7 +229,7 @@ def cmd_estimate(args) -> int:
             "mean_steps": sum(rep["total_base_steps"] for rep in reports) / len(reports),
         },
     }
-    _emit(payload, _resolve_out(args.out))
+    _emit(payload, args.out)
     return 0
 
 
@@ -245,23 +256,22 @@ def cmd_count_colorings(args) -> int:
         payload["relative_error"] = (
             abs(math.exp(result.log_count) - exact) / exact if exact else None
         )
-    _emit(payload, _resolve_out(args.out))
+    _emit(payload, args.out)
     return 0
 
 
 def cmd_gen_planted(args) -> int:
     params = PlantedParams(n=args.n, communities=args.r, within_prob=args.p, cross_mass=args.q)
     pg = generate(params, args.seed)
-    out = _resolve_out(args.out)
-    _emit(pg.graph.to_json(), out)
-    sidecar = os.path.splitext(out)[0] + ".communities.json"
+    _emit(pg.graph.to_json(), args.out)
+    sidecar = os.path.splitext(args.out)[0] + ".communities.json"
     meta = {
         "communities": [int(c) for c in pg.communities],
         "params": {"n": args.n, "r": args.r, "p": args.p, "q": args.q, "seed": args.seed},
         "cut_sizes": [len(cut_set(pg, j)) for j in range(args.r)],
     }
     _emit(meta, sidecar)
-    sys.stdout.write(json.dumps({"graph": out, "sidecar": sidecar}) + "\n")
+    sys.stdout.write(json.dumps({"graph": args.out, "sidecar": sidecar}) + "\n")
     return 0
 
 
@@ -363,7 +373,7 @@ def cmd_bench_compare(args) -> int:
                 writer.writerow(
                     [method, problem["name"], batch, steps, f"{err:.9f}", f"{cover:.1f}", f"{wall:.4f}"]
                 )
-    _emit(buf.getvalue(), _resolve_out(args.out))
+    _emit(buf.getvalue(), args.out)
     return 0
 
 
@@ -441,6 +451,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.out = _resolve_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,14 @@ and estimates the probability that gamma(u) != gamma(v); that probability is
 exactly the ratio of the two consecutive coloring counts, so the product of
 all phase ratios times k^n telescopes to the count for the full graph.
 
+That probability reads only the colors of the connected components of u and v
+in the sampling graph, the phase's support.  Colorings of a graph are
+independent across its components, and a single-site move only looks at its
+own vertex's neighbours, so each phase walks the chain's marginal on its
+support alone (``glauber_kernel(graph, k, support)``): the generator draws
+exactly as the whole chain's, proposals elsewhere count as holds, and the
+path is the whole chain's path restricted to the support, bit for bit.
+
 Single-site dynamics is ergodic on proper colorings whenever the number of
 colors exceeds the graph's degeneracy by at least two; the pipeline enforces
 that floor per phase (on each sampling graph) and refuses below it.
@@ -25,7 +33,7 @@ import numpy as np
 from .adaptive import EstimateReport, uniform_mixing_steps, warm_start
 from .chains import ScalarFunction, TransitionKernel
 from .errors import GuardError, StatisticalFailure
-from .estimators import ConcentrationParams, hoeffding_sample_complexity, static_estimate
+from .estimators import ConcentrationParams, checked_lambda, hoeffding_sample_complexity, static_estimate
 from .rng import CHAIN_A, PHASE, WARMUP, child_seed, stream
 from .spectral import MATRIX_CAP
 
@@ -62,6 +70,17 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
+
+    def components_of(self, vertices) -> tuple:
+        """Every vertex of the connected components that meet ``vertices``, ascending."""
+        seen = set()
+        stack = list(vertices)
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(self.adjacency[v])
+        return tuple(sorted(seen))
 
     @property
     def d_max(self) -> int:
@@ -129,8 +148,8 @@ def is_proper(graph: Graph, coloring, k: Optional[int] = None) -> bool:
     return True
 
 
-def glauber_kernel(graph: Graph, k: int) -> TransitionKernel:
-    """Samplable lazy single-site kernel over proper colorings.
+def glauber_kernel(graph: Graph, k: int, vertices: Optional[Sequence[int]] = None) -> TransitionKernel:
+    """Samplable lazy single-site kernel over proper colorings, or its marginal on ``vertices``.
 
     Each step holds with probability 1/2, else proposes a uniform (vertex u,
     color c) and recolors u to c when no neighbour of u wears c.  The hold is
@@ -138,31 +157,49 @@ def glauber_kernel(graph: Graph, k: int) -> TransitionKernel:
     chain becomes (1 + L)/2, which the caller passes to the estimators.
     ``exact_glauber_matrix(graph, k, lazy=True)`` is this kernel's law.
 
+    With ``vertices``, a union of connected components of ``graph`` (any
+    other set is refused with ValueError), the kernel is the chain's marginal
+    on them: a state colors ``vertices`` in the order given.  A move at u reads
+    only u's neighbours, which share u's component, so the marginal is itself
+    a Markov chain, and its path is the whole chain's path restricted to
+    ``vertices``.  The generator draws exactly as the whole chain's does;
+    a proposal outside ``vertices`` counts as a hold.  None means every vertex.
+
     The sampler draws every hold, vertex and color of the path up front, then
-    walks only the proposed moves in chunks of ``CHUNK`` steps, records each
-    accepted move as its proposal index and color change, scatters the changes
-    into the chunk's int16 rows from arrays, and rebuilds the rows by a
-    cumulative sum from the colors at its start.  Colors above the int16
-    range are refused here, before any sampling.
+    walks only the proposed moves on ``vertices`` in chunks of ``CHUNK``
+    steps, records each accepted move as its proposal index and color change,
+    scatters the changes into the chunk's int16 rows from arrays, and
+    rebuilds the rows by a cumulative sum from the colors at its start.
+    Colors above the int16 range are refused here, before any sampling.
     """
     int16_max = int(np.iinfo(np.int16).max)
     if k > int16_max:
         raise GuardError(f"k={k} colors do not fit the sampler's int16 states (at most {int16_max})")
     n = graph.n
-    adjacency = [list(a) for a in graph.adjacency]
+    support = list(range(n)) if vertices is None else [int(v) for v in vertices]
+    if not all(0 <= v < n for v in support) or len(set(support)) != len(support):
+        raise ValueError(f"vertices must be distinct ids in 0..{n - 1}, got {vertices}")
+    if set(graph.components_of(support)) != set(support):
+        raise ValueError(f"vertices must be a union of connected components of the graph, got {vertices}")
+    local = np.full(n, -1, dtype=np.intp)  # each vertex's position in a state, -1 off the support
+    local[support] = np.arange(len(support))
+    walked = local >= 0
+    induced = Graph(len(support), tuple((local[u], local[v]) for u, v in graph.edges if walked[u]))
+    adjacency = [list(a) for a in induced.adjacency]
 
     def sample_path(state, steps, rng):
         colors = [int(x) for x in state]
         hold = rng.random(steps) < 0.5
         us = rng.integers(0, n, size=steps)
         cs = rng.integers(1, k + 1, size=steps)
-        out = np.zeros((steps, n), dtype=np.int16)
+        live = ~hold & walked[us]
+        out = np.zeros((steps, len(support)), dtype=np.int16)
         for lo in range(0, steps, CHUNK):
             hi = min(lo + CHUNK, steps)
             block = out[lo:hi]
             block[0] = colors
-            moves = np.flatnonzero(~hold[lo:hi])
-            proposed_u, proposed_c = us[lo:hi][moves], cs[lo:hi][moves]
+            moves = np.flatnonzero(live[lo:hi])
+            proposed_u, proposed_c = local[us[lo:hi][moves]], cs[lo:hi][moves]
             accepted, changes = [], []  # accepted moves: proposal index, color change
             for i, u, c in zip(range(len(moves)), proposed_u.tolist(), proposed_c.tolist()):
                 old = colors[u]
@@ -182,11 +219,11 @@ def glauber_kernel(graph: Graph, k: int) -> TransitionKernel:
         return out
 
     def validate(state):
-        if not is_proper(graph, state, k):
+        if not is_proper(induced, state, k):
             raise ValueError("start state must be a proper coloring")
 
     return TransitionKernel(
-        name=f"glauber(n={n},k={k},lazy)",
+        name=f"glauber(n={n},k={k},lazy)" if vertices is None else f"glauber(n={n},k={k},lazy,on={len(support)})",
         sample_path=sample_path,
         is_lazy=True,
         is_reversible=True,
@@ -295,13 +332,12 @@ class PhaseSpec:
     """One counting phase: the ``index``-th edge of ``order`` and the graph before it.
 
     All phases of a sequence share one ``order`` tuple, so the sequence holds
-    O(#E) edges; ``sampling_graph`` builds its graph on each access.
+    O(#E) edges; ``sampling_graph`` and ``support`` build theirs on each access.
     """
 
     index: int
     n: int
     order: tuple
-    fn: ScalarFunction
 
     @property
     def edge(self) -> tuple:
@@ -311,13 +347,20 @@ class PhaseSpec:
     def sampling_graph(self) -> Graph:
         return Graph(self.n, self.order[: self.index - 1])
 
+    @property
+    def support(self) -> tuple:
+        """The vertices of the edge's endpoints' components in the sampling graph, ascending."""
+        return self.sampling_graph.components_of(self.edge)
 
-def _phase_indicator(edge) -> ScalarFunction:
+
+def _phase_indicator(edge, support) -> ScalarFunction:
+    """gamma(u) != gamma(v) for the edge (u, v), on states that color ``support`` in order."""
     u, v = edge
+    i, j = support.index(u), support.index(v)
 
     def batch(colorings):
         arr = np.asarray(colorings)
-        return (arr[..., u] != arr[..., v]).astype(float)
+        return (arr[..., i] != arr[..., j]).astype(float)
 
     return ScalarFunction(batch, lo=0.0, hi=1.0, name=f"distinct({u},{v})")
 
@@ -336,7 +379,7 @@ def build_phase_sequence(graph: Graph, edge_order: Optional[Sequence] = None):
     the i-th edge, so the sampling graphs grow strictly toward the input graph.
     """
     order = _validated_order(graph, edge_order)
-    return [PhaseSpec(i, graph.n, order, _phase_indicator(edge)) for i, edge in enumerate(order, start=1)]
+    return [PhaseSpec(i, graph.n, order) for i in range(1, len(order) + 1)]
 
 
 def exact_phase_ratios(graph: Graph, k: int, edge_order: Optional[Sequence] = None):
@@ -449,16 +492,6 @@ def coloring_space_size(n: int, k: int) -> float:
         ) from None
 
 
-def checked_lambda_bound(lambda_bound) -> Optional[float]:
-    """The caller's raw eigenvalue bound as a float, refused outside [0, 1); None passes."""
-    if lambda_bound is None:
-        return None
-    raw = float(lambda_bound)
-    if not 0.0 <= raw < 1.0:
-        raise ValueError(f"lambda_bound must lie in [0, 1), got {lambda_bound}")
-    return raw
-
-
 def coloring_lambda(graph: Graph, k: int, lambda_bound: Optional[float] = None):
     """The lazy Glauber chain's eigenvalue bound on ``graph``: (lazy lambda, source).
 
@@ -475,7 +508,7 @@ def coloring_lambda(graph: Graph, k: int, lambda_bound: Optional[float] = None):
     The hold makes the bound (1 + L)/2.
     """
     if lambda_bound is not None:
-        raw = checked_lambda_bound(lambda_bound)
+        raw = checked_lambda(float(lambda_bound))
         source = "caller"
     elif k >= 2 * graph.d_max + 1:
         raw = 1.0 - (k - 2 * graph.d_max) / (k * graph.n)
@@ -528,6 +561,21 @@ def jvv_count(
     so phases a proof covers keep it.  Without ``edge_order`` the input order
     is used, with ``_jerrum_last_edge`` applied.  Every phase outcome records
     the bound it used and its source.
+
+    Each phase walks the chain's marginal on its support, the components of
+    its edge's endpoints in its sampling graph, from the greedy coloring of
+    the sampling graph restricted to the support.  Three things carry over
+    from the whole chain unchanged:
+
+    * lambda: the marginal's transition operator is the whole chain's acting
+      on functions of the support, so its eigenfunctions are eigenfunctions of
+      the whole chain, and the whole chain's bound bounds it;
+    * pi_min = 1/k^n: every marginal stationary probability is a sum of the
+      whole chain's, so it still lower-bounds them;
+    * T, tau, m and the step counts: they follow from lambda, pi_min,
+      epsilon and delta alone, and the generator draws as for the whole chain.
+
+    So every path, estimate and step count is the whole chain's, bit for bit.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -537,7 +585,8 @@ def jvv_count(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if estimator not in ("dynamite", "static-hoeffding"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    checked_lambda_bound(lambda_bound)
+    if lambda_bound is not None:
+        checked_lambda(float(lambda_bound))
     order = _validated_order(graph, edge_order)
     if order and edge_order is None and lambda_bound is None:
         order = _jerrum_last_edge(graph.n, k, order)
@@ -571,12 +620,14 @@ def jvv_count(
     total_steps = 0
     for phase in phases:
         sampling_graph = phase.sampling_graph
+        support = phase.support
+        fn = _phase_indicator(phase.edge, support)
         lazy_lambda, source = shared if shared[1] != "heuristic" else coloring_lambda(sampling_graph, k)
-        kernel = glauber_kernel(sampling_graph, k)
-        start = greedy_coloring(sampling_graph, k)
+        kernel = glauber_kernel(sampling_graph, k, support)
+        start = greedy_coloring(sampling_graph, k)[list(support)]
         phase_seed = child_seed(seed, PHASE, phase.index)
         if estimator == "dynamite":
-            report = warm_start(start, kernel, lazy_lambda, pi_min, phase.fn, eps_i, delta_i, phase_seed)
+            report = warm_start(start, kernel, lazy_lambda, pi_min, fn, eps_i, delta_i, phase_seed)
             ratio = report.estimate
             steps = report.total_base_steps
         else:
@@ -586,7 +637,7 @@ def jvv_count(
                 ConcentrationParams(lambda_bound=lazy_lambda, value_range=1.0, delta_prime=delta_i, m=1),
                 eps_i,
             )
-            ratio = static_estimate(kernel, phase.fn, m, state, stream(phase_seed, CHAIN_A))
+            ratio = static_estimate(kernel, fn, m, state, stream(phase_seed, CHAIN_A))
             steps = tau + m
             report = None
         if ratio <= 0.0:

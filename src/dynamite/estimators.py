@@ -51,6 +51,17 @@ class PairedEvaluations:
         return self.first.shape[0]
 
 
+def checked_lambda(lambda_bound):
+    """``lambda_bound`` as given, refused with ValueError unless it lies in [0, 1) (nan included).
+
+    The one range check on an eigenvalue bound: the estimators, the schedule
+    and the coloring counter all call it, and the CLI reports its message.
+    """
+    if not 0.0 <= lambda_bound < 1.0:
+        raise ValueError(f"lambda bound must lie in [0, 1), got {lambda_bound}")
+    return lambda_bound
+
+
 @dataclasses.dataclass(frozen=True)
 class ConcentrationParams:
     """Inputs shared by every displayed bound: eigenvalue bound, range, budget, size."""
@@ -61,8 +72,7 @@ class ConcentrationParams:
     m: int
 
     def __post_init__(self):
-        if not 0.0 <= self.lambda_bound < 1.0:
-            raise ValueError(f"lambda bound must lie in [0, 1), got {self.lambda_bound}")
+        checked_lambda(self.lambda_bound)
         if self.value_range < 0:
             raise ValueError("range must be nonnegative")
         if not 0.0 < self.delta_prime < 1.0:

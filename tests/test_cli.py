@@ -325,9 +325,14 @@ class TestBenchCompare:
     ["gen-planted", "--n", "4", "--r", "2", "--p", "0.5", "--q", "0.2"],
     ["bench-compare", "--problems", "cycle16-f1", "--batches", "1", "--epsilon", "0.1"],
 ])
-def test_unwritable_out_exits_two_naming_the_path(command, tmp_path, capsys):
-    graph = tmp_path / "edgeless.json"
-    graph.write_text(json.dumps({"n": 3, "edges": []}))
+def test_unwritable_out_exits_two_naming_the_path(command, tmp_path, capsys, monkeypatch):
+    # refused before any sampling: a sampler call fails the test instead of exiting 2
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the output path was checked")
+
+    monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+    graph = tmp_path / "path3.json"
+    graph.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
     out = str(tmp_path / "missing" / "x")
     args = [str(graph) if a == "{graph}" else a for a in command]
     assert run_cli(args + ["--out", out]) == EXIT_CONFIG

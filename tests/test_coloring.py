@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -138,6 +139,41 @@ class TestGlauberStep:
         assert np.array_equal(path, expected) and np.all(path == start)
         assert rng.random() == ref_rng.random()
 
+    @given(small_graphs(), st.integers(0, 2), st.sampled_from(PATH_LENGTHS), st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_marginal_path_is_the_whole_path_on_its_vertices(self, graph, extra, steps, seed, data):
+        components = sorted({graph.components_of([v]) for v in range(graph.n)})
+        assume(len(components) >= 2)
+        chosen = data.draw(st.lists(st.sampled_from(components), min_size=1, unique=True))
+        vertices = data.draw(st.permutations([v for c in chosen for v in c]))  # states follow this order
+        k = graph.degeneracy() + 1 + extra
+        start = dm.greedy_coloring(graph, k)
+        whole_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        whole = dm.glauber_kernel(graph, k).path(start, steps, whole_rng)
+        path = dm.glauber_kernel(graph, k, vertices).path(start[vertices], steps, rng)
+        assert path.dtype == whole.dtype and path.shape == (steps, len(vertices))
+        assert np.array_equal(path, whole[:, vertices])
+        assert rng.random() == whole_rng.random()
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([0], "union of connected components"),
+        ([0, 1, 2, 3], "union of connected components"),
+        ([3, 4, 5, 0, 1], "union of connected components"),
+        ([0, 1, 2, 2], "distinct"),
+        ([0, 1, 2, 6], "distinct"),
+        ([-1], "distinct"),
+    ])
+    def test_vertices_that_are_not_whole_components_are_refused(self, vertices, message):
+        with pytest.raises(ValueError, match=message):
+            dm.glauber_kernel(TWO_TRIANGLES, 4, vertices)
+
+    def test_marginal_start_is_checked_on_its_vertices(self):
+        kernel = dm.glauber_kernel(TWO_TRIANGLES, 4, [5, 3, 4])
+        kernel.check_start([1, 2, 3])
+        for improper in ([1, 1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ValueError):
+                kernel.check_start(improper)
+
     def test_properness_preserved_under_fuzz(self):
         g = dm.Graph(8, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4), (2, 6)))
         k = g.d_max + 2
@@ -190,6 +226,14 @@ class TestPhaseSequence:
         assert len(phases) == 1
         assert phases[0].sampling_graph.edges == ()
         assert phases[0].edge == (0, 1)
+
+    def test_each_phase_supports_its_edge_components(self):
+        order = ((2, 3), (0, 1), (1, 2), (3, 0))
+        assert dm.build_phase_sequence(C4, order)[0].support == (2, 3)  # phase 1 samples an edgeless graph
+        assert [p.support for p in dm.build_phase_sequence(C4, order)] == [(2, 3), (0, 1), (0, 1, 2, 3), (0, 1, 2, 3)]
+        assert [p.support for p in dm.build_phase_sequence(TWO_TRIANGLES)] == [
+            (0, 1), (0, 1, 2), (0, 1, 2), (3, 4), (3, 4, 5), (3, 4, 5),
+        ]
 
     def test_triangle_growth(self):
         phases = dm.build_phase_sequence(TRIANGLE)
@@ -418,7 +462,7 @@ class TestColoringLambda:
     def test_caller_bound_outside_the_unit_interval_is_refused_before_sampling(self, caller, bound, monkeypatch):
         # "edgeless" never uses a bound: it is refused all the same
         monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
-        with pytest.raises(ValueError, match="lambda_bound"):
+        with pytest.raises(ValueError, match=re.escape("lambda bound must lie in [0, 1)")):
             if caller == "edgeless":
                 dm.jvv_count(dm.Graph(3, ()), 3, 0.25, 0.25, lambda_bound=bound)
             else:

@@ -21,6 +21,11 @@ samplers consume their generators alike in pieces or whole, so the other
 five payloads were not recorded again.  The ``zeta_estimate_sampled`` payload
 was dropped, by deleting its key alone, when the looseness diagnostic it
 replayed was deleted; the nine payloads left are byte-identical to before.
+The payloads were not recorded again when each counting phase began to walk
+only the Glauber chain's marginal on its support (the components of its
+edge's endpoints in its sampling graph): that marginal draws from the
+generator exactly as the whole chain does, and its path is the whole chain's
+path restricted to the support, so every payload replays unchanged.
 Any change to a sampled state, an estimate, a schedule or a step count shows
 up here as a payload mismatch.  To record the file again from a given
 revision::
@@ -157,7 +162,8 @@ glauber = test_replay.dm.glauber_kernel(test_replay._c4(), 3)
 refused = []
 for check in (lambda: f(8), lambda: f.values([0, -1]), lambda: kernel.check_start(8),
               lambda: glauber.check_start([1, 1, 2, 3]), lambda: kernel.advance(8, 0, None),
-              lambda: glauber.advance([1, 1, 2, 3], 0, None), lambda: kernel.advance(0, 10, None, f, 3)):
+              lambda: glauber.advance([1, 1, 2, 3], 0, None), lambda: kernel.advance(0, 10, None, f, 3),
+              lambda: test_replay.dm.glauber_kernel(test_replay._c4(), 3, [0, 1])):
     try:
         check()
     except ValueError:
@@ -171,7 +177,8 @@ json.dump({"payloads": {name: test_replay.payload(name) for name in sys.argv[1:]
 
 def test_payloads_and_state_checks_survive_optimized_mode(recorded):
     # python -O strips asserts: the cycle and counting payloads must replay, and out-of-range
-    # states, an improper coloring and steps that are not whole blocks must still be refused
+    # states, an improper coloring, steps that are not whole blocks and a vertex set that is not
+    # a union of components must still be refused
     path = os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, *OPTIMIZED_CASES],
@@ -179,7 +186,7 @@ def test_payloads_and_state_checks_survive_optimized_mode(recorded):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["refused"] == [True] * 7
+    assert out["refused"] == [True] * 8
     for name in OPTIMIZED_CASES:
         assert out["payloads"][name] == recorded[name], name
 
