@@ -39,6 +39,30 @@ class TestAnalyzeChain:
         assert 64 in horizons
         assert all(s["passed"] for s in payload["sandwich"])
 
+    def test_nested_record_layouts(self, tmp_path):
+        out = tmp_path / "analysis.json"
+        assert run_cli([
+            "analyze-chain", "--chain", "cycle", "--n", "8",
+            "--fn", "cycle-f", "--i", "1", "--T", "1", "--T", "5",
+            "--out", str(out),
+        ]) == 0
+        payload = read_json(out)
+        assert sorted(payload["spectral"]) == [
+            "mean", "pi_min", "relaxation_time", "second_eigenvalue", "stationary", "stationary_variance",
+        ]
+        stationary = payload["spectral"]["stationary"]
+        assert isinstance(stationary, list) and len(stationary) == 8
+        assert all(type(p) is float for p in stationary)
+        assert [p["horizon"] for p in payload["profiles"]] == [1, 5]
+        for profile in payload["profiles"]:
+            assert sorted(profile) == ["autocovariances", "horizon", "trace_variance"]
+            covs = profile["autocovariances"]
+            assert isinstance(covs, list) and len(covs) == profile["horizon"] - 1
+            assert all(type(c) is float for c in covs)
+        assert len(payload["sandwich"]) == 2
+        for verdict in payload["sandwich"]:
+            assert sorted(verdict) == ["horizon", "lower", "passed", "trace_variance", "upper"]
+
     def test_malformed_flags_exit_two_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["analyze-chain", "--chain", "cycle", "--n", "8"])

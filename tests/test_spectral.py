@@ -49,6 +49,14 @@ class TestSummarize:
             assert np.max(np.abs(s.stationary @ kernel.matrix - s.stationary)) < 1e-9, name
             assert s.stationary_variance <= f.value_range ** 2 / 4 + 1e-12
 
+    def test_records_render_arrays_as_lists_of_python_floats(self):
+        kernel, f = dm.make_cycle(4), dm.make_cycle_function(4, 1)
+        s = dm.summarize(kernel, f)
+        profile = dm.exact_trace_variance(kernel, f, 3, summary=s)
+        for values in (s.to_json()["stationary"], profile.to_json()["autocovariances"]):
+            assert type(values) is list and len(values) in (2, 4)
+            assert all(type(v) is float for v in values)
+
 
 class TestAutocovariance:
     """The autocovariances C_1 .. C_{T-1} that ``exact_trace_variance`` reports."""
