@@ -38,6 +38,7 @@ from .estimators import (
     two_chain_variance,
     variance_upper_bound,
 )
+from .records import Record
 from .rng import CHAIN_A, CHAIN_B, WARMUP, stream
 
 LN_SQRT2 = math.log(math.sqrt(2.0))
@@ -95,25 +96,16 @@ def build_schedule(value_range: float, epsilon: float, lambda_bound: float, delt
 
 
 @dataclasses.dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(Record):
     m: int
     mean: float
     variance: float
     variance_bound: float
     radius: float
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "mean": self.mean,
-            "variance": self.variance,
-            "variance_bound": self.variance_bound,
-            "radius": self.radius,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(Record):
     """Full audit trail of one adaptive run.
 
     ``total_base_steps`` counts both paired chains, T base steps for every
@@ -133,29 +125,6 @@ class EstimateReport:
     trace_length: int
     function_range: tuple
     schedule: Optional[Schedule]
-
-    def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "termination": self.termination,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "lambda_bound": self.lambda_bound,
-            "trace_length": self.trace_length,
-            "function_range": list(self.function_range),
-            "total_base_steps": self.total_base_steps,
-            "warmup_steps": self.warmup_steps,
-            "schedule": None
-            if self.schedule is None
-            else {
-                "iterations": self.schedule.iterations,
-                "base_size": self.schedule.base_size,
-                "sizes": list(self.schedule.sizes),
-                "delta_prime": self.schedule.delta_prime,
-            },
-            "iterations": [rec.to_json() for rec in self.iterations],
-        }
 
 
 def _degenerate_report(f, seed, epsilon, delta, lambda_bound, trace_length):

@@ -17,13 +17,17 @@ non-reproducible.  Relative output paths resolve against the
 ``DYNAMITE_OUT_DIR`` environment variable when it is set, and an output path
 whose directory is missing or unwritable exits 2 before any sampling.
 
-JSON layouts are frozen by golden tests:
+JSON layouts: each result record's layout is its dataclass fields, rendered
+by ``records.Record.to_json`` (nested records as objects, tuples and arrays
+as lists); JSON keys are sorted.
 
-* estimate: {config, reports: [EstimateReport...], aggregate}
-* EstimateReport: ``adaptive.EstimateReport.to_json``, for the static
-  methods too (termination "static", no schedule, no iterations).
-* count-colorings: CountResult plus optional {exact, relative_error}.
-* graph files: {"n": int, "edges": [[u, v], ...]} with 0-indexed vertices.
+* analyze-chain: {chain, function, spectral: SpectralSummary,
+  profiles: [VarianceProfile...], sandwich: [SandwichVerdict...] or null}
+* estimate: {config, reports: [EstimateReport...], aggregate}, the static
+  methods' reports too (termination "static", no schedule, no iterations).
+* count-colorings: CountResult, its derived ``count`` (null when infinite)
+  and, under --exact, {exact, relative_error}.
+* graph files: Graph, {"n": int, "edges": [[u, v], ...]} with 0-indexed vertices.
 """
 from __future__ import annotations
 
@@ -199,6 +203,8 @@ def _run_method(method, kernel, f, lam, summary, epsilon, delta, seed, rng, star
 def cmd_estimate(args) -> int:
     if args.replicates < 1:
         raise ConfigError(f"--replicates must be at least 1, got {args.replicates}")
+    if args.start is not None and args.method != "warm-start":
+        raise ConfigError(f"--start applies only to --method warm-start, got --method {args.method}")
     kernel = _build_chain(args)
     f = _build_function(args, kernel)
     summary = summarize(kernel, f)
@@ -279,12 +285,11 @@ def cmd_gen_planted(args) -> int:
 # benchmark table
 
 
-def _cycle_problem(name, n, i, epsilon, delta):
+def _cycle_problem(n, i, epsilon, delta):
     kernel = make_cycle(n)
     f = make_cycle_function(n, i)
     summary = summarize(kernel, f)
     return {
-        "name": name,
         "kind": "cycle",
         "kernel": kernel,
         "f": f,
@@ -295,7 +300,7 @@ def _cycle_problem(name, n, i, epsilon, delta):
     }
 
 
-def _planted_problem(name, seed, epsilon, delta):
+def _planted_problem(seed, epsilon, delta):
     # tiny on purpose: a phase whose sampling graph has 2 d_max + 1 > k falls back to the
     # 1 - 1/(n^2 k) heuristic, whose warm-up grows like n^2 k log(k^n), so n=4 keeps a
     # batch near a second
@@ -304,7 +309,6 @@ def _planted_problem(name, seed, epsilon, delta):
     k = pg.graph.d_max + 2
     exact = brute_force_count(pg.graph, k)
     return {
-        "name": name,
         "kind": "count",
         "graph": pg.graph,
         "k": k,
@@ -339,11 +343,12 @@ def _bench_count_row(problem, method, batch_seed):
 
 
 def default_bench_problems(epsilon, delta, seed):
-    return [
-        _cycle_problem("cycle16-f1", 16, 1, epsilon, delta),
-        _cycle_problem("cycle16-f8", 16, 8, epsilon, delta),
-        _planted_problem("planted4-count", seed, 0.25, 0.25),
-    ]
+    """Each problem's name and builder; a problem is built only when it is asked for."""
+    return {
+        "cycle16-f1": lambda: _cycle_problem(16, 1, epsilon, delta),
+        "cycle16-f8": lambda: _cycle_problem(16, 8, epsilon, delta),
+        "planted4-count": lambda: _planted_problem(seed, 0.25, 0.25),
+    }
 
 
 def cmd_bench_compare(args) -> int:
@@ -352,16 +357,16 @@ def cmd_bench_compare(args) -> int:
     names = [p for p in (args.problems.split(",") if args.problems else []) if p]
     if not names:
         raise ConfigError(f"--problems names no problem, got {args.problems!r}")
-    catalog = {p["name"]: p for p in default_bench_problems(args.epsilon, args.delta, args.seed)}
+    catalog = default_bench_problems(args.epsilon, args.delta, args.seed)
     unknown = [n for n in names if n not in catalog]
     if unknown:
         raise ConfigError(f"unknown problems: {unknown}; available: {sorted(catalog)}")
-    problems = [catalog[n] for n in names]
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(BENCH_COLUMNS)
-    for problem in problems:
+    for name in names:
+        problem = catalog[name]()
         methods = CYCLE_METHODS if problem["kind"] == "cycle" else COUNT_METHODS
         for method in methods:
             for batch in range(args.batches):
@@ -370,9 +375,7 @@ def cmd_bench_compare(args) -> int:
                     steps, err, cover, wall = _bench_cycle_row(problem, method, batch_seed)
                 else:
                     steps, err, cover, wall = _bench_count_row(problem, method, batch_seed)
-                writer.writerow(
-                    [method, problem["name"], batch, steps, f"{err:.9f}", f"{cover:.1f}", f"{wall:.4f}"]
-                )
+                writer.writerow([method, name, batch, steps, f"{err:.9f}", f"{cover:.1f}", f"{wall:.4f}"])
     _emit(buf.getvalue(), args.out)
     return 0
 
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="eigenvalue bound, or 'oracle' for the exact value")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replicates", type=int, default=1)
-    p.add_argument("--start", type=int, default=None, help="start state for warm-start")
+    p.add_argument("--start", type=int, default=None, help="start state; --method warm-start only")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_estimate)
 

@@ -34,6 +34,7 @@ from .adaptive import EstimateReport, uniform_mixing_steps, warm_start
 from .chains import ScalarFunction, TransitionKernel
 from .errors import GuardError, StatisticalFailure
 from .estimators import ConcentrationParams, checked_lambda, hoeffding_sample_complexity, static_estimate
+from .records import Record
 from .rng import CHAIN_A, PHASE, WARMUP, child_seed, stream
 from .spectral import MATRIX_CAP
 
@@ -42,7 +43,7 @@ CHUNK = 4096  # path rows the Glauber sampler rebuilds per cumulative sum
 
 
 @dataclasses.dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph on vertices 0..n-1 with deduplicated edges."""
 
     n: int
@@ -117,9 +118,6 @@ class Graph:
                     deg[w] -= 1
                     heapq.heappush(heap, (deg[w], w))
         return order, best
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [[u, v] for u, v in self.edges]}
 
     @classmethod
     def from_json(cls, payload: dict) -> "Graph":
@@ -394,7 +392,7 @@ def exact_phase_ratios(graph: Graph, k: int, edge_order: Optional[Sequence] = No
 
 
 @dataclasses.dataclass(frozen=True)
-class PhaseOutcome:
+class PhaseOutcome(Record):
     index: int
     edge: tuple
     ratio: float
@@ -404,21 +402,9 @@ class PhaseOutcome:
     lambda_source: str
     report: Optional[EstimateReport]
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "edge": list(self.edge),
-            "ratio": self.ratio,
-            "steps": self.steps,
-            "method": self.method,
-            "lambda_bound": self.lambda_bound,
-            "lambda_source": self.lambda_source,
-            "report": None if self.report is None else self.report.to_json(),
-        }
-
 
 @dataclasses.dataclass(frozen=True)
-class CountResult:
+class CountResult(Record):
     """Telescoping-product output: log-space count, rendering, and the audit trail.
 
     Per-phase additive errors epsilon/I compose into a relative error on the
@@ -440,17 +426,8 @@ class CountResult:
         return math.exp(self.log_count) if self.log_count < 700 else math.inf
 
     def to_json(self) -> dict:
-        return {
-            "log_count": self.log_count,
-            "estimate": self.estimate,
-            "count": self.count if math.isfinite(self.count) else None,
-            "total_steps": self.total_steps,
-            "k": self.k,
-            "n": self.n,
-            "edge_order": [list(e) for e in self.edge_order],
-            "estimator": self.estimator,
-            "phases": [p.to_json() for p in self.phases],
-        }
+        """The fields plus the derived ``count``, None when it is infinite."""
+        return {**super().to_json(), "count": self.count if math.isfinite(self.count) else None}
 
 
 def render_decimal(log_count: float) -> str:
@@ -461,7 +438,9 @@ def render_decimal(log_count: float) -> str:
     if log10 < 15:
         return f"{math.exp(log_count):.15g}"
     exponent = int(math.floor(log10))
-    mantissa = 10.0 ** (log10 - exponent)
+    mantissa = round(10.0 ** (log10 - exponent), 12)
+    if mantissa >= 10.0:  # rounding carried into the next power of ten
+        mantissa, exponent = mantissa / 10.0, exponent + 1
     return f"{mantissa:.12f}e+{exponent}"
 
 

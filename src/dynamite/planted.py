@@ -10,7 +10,9 @@ import dataclasses
 import numpy as np
 
 from .coloring import Graph
+from .errors import GuardError
 from .rng import as_generator
+from .spectral import MATRIX_CAP
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,8 +54,12 @@ class PartitionedGraph:
 def generate(params: PlantedParams, rng) -> PartitionedGraph:
     """Draw a graph from the simplified model; deterministic per seed.
 
-    Community j holds the contiguous vertex block [j*n/r, (j+1)*n/r).
+    Community j holds the contiguous vertex block [j*n/r, (j+1)*n/r).  The
+    draw is a dense n x n array, so n above ``MATRIX_CAP`` is refused with
+    GuardError before anything is allocated.
     """
+    if params.n > MATRIX_CAP:
+        raise GuardError(f"dense planted generation capped at {MATRIX_CAP} vertices, got n={params.n}")
     gen = as_generator(rng)
     n, r = params.n, params.communities
     labels = np.arange(n) // (n // r)

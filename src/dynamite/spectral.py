@@ -18,13 +18,14 @@ import numpy as np
 
 from .chains import ScalarFunction, TransitionKernel, make_cycle, make_cycle_function
 from .errors import GuardError, NotErgodicError
+from .records import Record
 
 MATRIX_CAP = 4096
 _UNIT_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(Record):
     """Stationary law, second absolute eigenvalue, and moments of an attached function."""
 
     stationary: np.ndarray
@@ -34,49 +35,23 @@ class SpectralSummary:
     stationary_variance: float
     pi_min: float
 
-    def to_json(self) -> dict:
-        return {
-            "stationary": [float(p) for p in self.stationary],
-            "second_eigenvalue": self.second_eigenvalue,
-            "relaxation_time": self.relaxation_time,
-            "mean": self.mean,
-            "stationary_variance": self.stationary_variance,
-            "pi_min": self.pi_min,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
-class VarianceProfile:
+class VarianceProfile(Record):
     """Exact trace variance at one horizon plus the autocovariances behind it."""
 
     horizon: int
     autocovariances: np.ndarray  # C_1 .. C_{T-1}
     trace_variance: float
 
-    def to_json(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "autocovariances": [float(c) for c in self.autocovariances],
-            "trace_variance": self.trace_variance,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
-class SandwichVerdict:
+class SandwichVerdict(Record):
     horizon: int
     lower: float
     trace_variance: float
     upper: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "lower": self.lower,
-            "trace_variance": self.trace_variance,
-            "upper": self.upper,
-            "passed": self.passed,
-        }
 
 
 def _as_matrix(chain: Union[TransitionKernel, np.ndarray]) -> np.ndarray:

@@ -146,6 +146,20 @@ class TestEstimate:
         assert code == EXIT_CONFIG
         assert "--replicates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ("mcmc-pro", "dynamite", "static-hoeffding", "static-bernstein"))
+    def test_start_without_warm_start_exits_two_before_summarising(self, method, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("summarised or sampled before --start was checked")
+
+        monkeypatch.setattr("dynamite.cli.summarize", no_work)
+        monkeypatch.setattr(dm.TransitionKernel, "path", no_work)
+        code = run_cli([
+            "estimate", "--chain", "cycle", "--n", "8", "--fn", "cycle-f", "--i", "1",
+            "--method", method, "--epsilon", "0.1", "--delta", "0.2", "--start", "1",
+        ])
+        assert code == EXIT_CONFIG
+        assert "--start" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", ("4097", "50000"))
     @pytest.mark.parametrize("command", (
         ["analyze-chain"],
@@ -288,6 +302,18 @@ class TestGenPlanted:
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n", ("4097", "1000000"))
+    def test_oversize_exits_three_before_the_draw(self, n, tmp_path, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("reached the dense draw before the size guard")
+
+        monkeypatch.setattr("dynamite.planted.as_generator", no_draw)
+        code = run_cli(["gen-planted", "--n", n, "--r", "1", "--p", "0.5", "--q", "0",
+                        "--out", str(tmp_path / "big.json")])
+        assert code == EXIT_GUARD
+        assert f"capped at {MATRIX_CAP} vertices" in capsys.readouterr().err
+        assert not (tmp_path / "big.json").exists()
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DYNAMITE_OUT_DIR", str(tmp_path))
         run_cli(["gen-planted", "--n", "4", "--r", "2", "--p", "1.0", "--q", "0.0",
@@ -329,6 +355,24 @@ class TestBenchCompare:
             rows = list(csv.DictReader(fh))
         assert {r["method"] for r in rows} == {"dynamite", "mcmc-pro", "static-hoeffding", "static-bernstein"}
         assert all(int(r["steps"]) > 0 for r in rows)
+
+    def test_builds_only_the_requested_problems(self, tmp_path, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("built the planted counting problem unasked")
+
+        summaries = []
+
+        def counted(*args, **kwargs):
+            summaries.append(args)
+            return dm.summarize(*args, **kwargs)
+
+        monkeypatch.setattr("dynamite.cli.brute_force_count", no_count)
+        monkeypatch.setattr("dynamite.cli.summarize", counted)
+        assert run_cli([
+            "bench-compare", "--problems", "cycle16-f1", "--batches", "1", "--epsilon", "0.1",
+            "--out", str(tmp_path / "bench.csv"),
+        ]) == 0
+        assert len(summaries) == 1
 
     def test_counting_problem_rows(self, tmp_path):
         out = tmp_path / "bench.csv"

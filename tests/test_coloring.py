@@ -481,6 +481,9 @@ class TestRenderDecimal:
         assert int(exponent) == math.floor(1000 * math.log10(7))
         assert 1.0 <= float(mantissa) < 10.0
 
+    def test_mantissa_rounding_up_to_ten_carries_into_the_exponent(self):
+        assert render_decimal((16 - 1e-14) * math.log(10)) == "1.000000000000e+16"
+
 
 class TestGreedyColoring:
     def test_produces_proper_colorings(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dynamite as dm
+from dynamite.spectral import MATRIX_CAP
 
 
 def bridge_fixture(k_unused=None):
@@ -40,6 +41,15 @@ class TestGenerate:
         params = dm.PlantedParams(n=4, communities=2, within_prob=1.0, cross_mass=1.0)
         pg = dm.generate(params, 0)
         assert set(pg.graph.edges) == set(itertools.combinations(range(4), 2))
+
+    def test_oversize_is_refused_before_the_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("reached the dense draw before the size guard")
+
+        monkeypatch.setattr("dynamite.planted.as_generator", no_draw)
+        params = dm.PlantedParams(n=MATRIX_CAP + 1, communities=1, within_prob=0.5, cross_mass=0.0)
+        with pytest.raises(dm.GuardError, match=f"capped at {MATRIX_CAP} vertices"):
+            dm.generate(params, 0)
 
     def test_deterministic_per_seed(self):
         params = dm.PlantedParams(n=16, communities=2, within_prob=0.4, cross_mass=0.2)

@@ -1,0 +1,48 @@
+import dataclasses
+import math
+from typing import Optional
+
+import numpy as np
+
+import dynamite as dm
+from dynamite.records import Record
+
+
+@dataclasses.dataclass(frozen=True)
+class Inner:
+    values: np.ndarray
+    label: str
+
+
+@dataclasses.dataclass(frozen=True)
+class Outer(Record):
+    pairs: tuple
+    inner: Inner
+    missing: Optional[Inner]
+
+
+def test_fields_render_recursively_as_plain_python():
+    record = Outer(pairs=((0, 1), (2, 3)), inner=Inner(np.array([0.5, 0.25]), "x"), missing=None)
+    payload = record.to_json()
+    assert payload == {"pairs": [[0, 1], [2, 3]], "inner": {"values": [0.5, 0.25], "label": "x"}, "missing": None}
+    assert all(type(v) is float for v in payload["inner"]["values"])
+
+
+def test_every_result_record_renders_exactly_its_fields():
+    records = [
+        dm.mcmc_pro((0, 4), dm.make_cycle(8), 0.9, dm.make_cycle_function(8, 1), 0.2, 0.1, seed=8),
+        dm.summarize(dm.make_cycle(4), dm.make_cycle_function(4, 1)),
+        dm.check_sandwich(dm.make_cycle(4), dm.make_cycle_function(4, 1), 3),
+        dm.Graph(3, ((0, 1),)),
+    ]
+    for record in records:
+        assert list(record.to_json()) == [f.name for f in dataclasses.fields(record)]
+
+
+def test_count_result_adds_only_its_derived_count():
+    result = dm.jvv_count(dm.Graph(3, ()), 3, 0.25, 0.25)
+    fields = [f.name for f in dataclasses.fields(result)]
+    assert list(result.to_json()) == fields + ["count"]
+    assert result.to_json()["count"] == 27.0
+    huge = dataclasses.replace(result, log_count=1000.0)
+    assert huge.to_json()["count"] is None and math.isinf(huge.count)
