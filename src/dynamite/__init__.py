@@ -31,7 +31,6 @@ from .coloring import (
     CountResult,
     Graph,
     brute_force_count,
-    build_phase_sequence,
     ergodicity_floor,
     exact_glauber_matrix,
     exact_phase_ratios,

@@ -170,12 +170,14 @@ def mcmc_pro(
         raise ValueError(f"trace length must be >= 1, got {trace_length}")
     t = trace_length
     block_lambda = checked_lambda(lambda_bound) ** t
+    state_a, state_b = initial_pair
+    kernel.check_start(state_a)  # here too, since a constant f returns before any step
+    kernel.check_start(state_b)
     if f.value_range == 0:
         return _degenerate_report(f, seed, epsilon, delta, block_lambda, t)
     schedule = build_schedule(f.value_range, epsilon, block_lambda, delta)
     rng_a = stream(seed, CHAIN_A)
     rng_b = stream(seed, CHAIN_B)
-    state_a, state_b = initial_pair
 
     means_a = np.empty(schedule.sizes[-1])
     means_b = np.empty(schedule.sizes[-1])

@@ -122,8 +122,10 @@ def _build_function(args, kernel) -> ScalarFunction:
             raise ConfigError("--fn cycle-f needs --i")
         return make_cycle_function(kernel.n_states, args.i)
     if args.fn == "indicator":
-        states = [int(s) for s in args.states.split(",")] if args.states else [1]
-        return indicator_function(states)
+        fields = (args.states or "1").split(",")
+        if not all(s.strip().isdecimal() and int(s) < kernel.n_states for s in fields):
+            raise ConfigError(f"--states must list states in 0..{kernel.n_states - 1}, got {args.states!r}")
+        return indicator_function([int(s) for s in fields])
     raise ConfigError(f"unknown function {args.fn!r}")
 
 
@@ -394,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="cycle size")
         p.add_argument("--fn", required=True, choices=["cycle-f", "indicator"])
         p.add_argument("--i", type=int, default=None, help="block half-width for cycle-f")
-        p.add_argument("--states", default=None, help="comma list for indicator")
+        p.add_argument("--states", default=None, help="comma list of states in 0..N-1 for indicator")
 
     p = sub.add_parser("analyze-chain", help="exact spectral summary and trace-variance sweep")
     add_chain_args(p)

@@ -1,10 +1,11 @@
 """Graph colorings: Glauber dynamics, exact counting, and the telescoping counter.
 
-The counting pipeline removes the input graph's edges one at a time.  Phase i
-samples uniform proper colorings of the graph WITHOUT its phase edge (u, v)
-and estimates the probability that gamma(u) != gamma(v); that probability is
-exactly the ratio of the two consecutive coloring counts, so the product of
-all phase ratios times k^n telescopes to the count for the full graph.
+The counting pipeline walks the prefixes of one edge order.  Phase i samples
+uniform proper colorings of the graph made of the first i - 1 edges and
+estimates the probability that gamma(u) != gamma(v) for edge i, (u, v); that
+probability is exactly the ratio of the two consecutive coloring counts, so
+the product of all phase ratios times k^n telescopes to the count for the
+full graph.
 
 That probability reads only the colors of the connected components of u and v
 in the sampling graph, the phase's support.  Colorings of a graph are
@@ -325,32 +326,6 @@ def greedy_coloring(graph: Graph, k: int) -> np.ndarray:
 # telescoping pipeline
 
 
-@dataclasses.dataclass(frozen=True)
-class PhaseSpec:
-    """One counting phase: the ``index``-th edge of ``order`` and the graph before it.
-
-    All phases of a sequence share one ``order`` tuple, so the sequence holds
-    O(#E) edges; ``sampling_graph`` and ``support`` build theirs on each access.
-    """
-
-    index: int
-    n: int
-    order: tuple
-
-    @property
-    def edge(self) -> tuple:
-        return self.order[self.index - 1]
-
-    @property
-    def sampling_graph(self) -> Graph:
-        return Graph(self.n, self.order[: self.index - 1])
-
-    @property
-    def support(self) -> tuple:
-        """The vertices of the edge's endpoints' components in the sampling graph, ascending."""
-        return self.sampling_graph.components_of(self.edge)
-
-
 def _phase_indicator(edge, support) -> ScalarFunction:
     """gamma(u) != gamma(v) for the edge (u, v), on states that color ``support`` in order."""
     u, v = edge
@@ -368,16 +343,6 @@ def _validated_order(graph: Graph, edge_order: Optional[Sequence]) -> tuple:
     if sorted(tuple(sorted(e)) for e in order) != sorted(graph.edges):
         raise ValueError("edge order must be a permutation of the graph's edges")
     return order
-
-
-def build_phase_sequence(graph: Graph, edge_order: Optional[Sequence] = None):
-    """Phases in the given edge order (input order by default).
-
-    Phase i samples on the graph holding edges 1..i-1 of the order and targets
-    the i-th edge, so the sampling graphs grow strictly toward the input graph.
-    """
-    order = _validated_order(graph, edge_order)
-    return [PhaseSpec(i, graph.n, order) for i in range(1, len(order) + 1)]
 
 
 def exact_phase_ratios(graph: Graph, k: int, edge_order: Optional[Sequence] = None):
@@ -423,7 +388,10 @@ class CountResult(Record):
 
     @property
     def count(self) -> float:
-        return math.exp(self.log_count) if self.log_count < 700 else math.inf
+        try:
+            return math.exp(self.log_count)
+        except OverflowError:
+            return math.inf
 
     def to_json(self) -> dict:
         """The fields plus the derived ``count``, None when it is infinite."""
@@ -525,9 +493,13 @@ def jvv_count(
     seed: int = 0,
     *,
     lambda_bound: Optional[float] = None,
-    edge_order: Optional[Sequence] = None,
 ) -> CountResult:
     """Estimate the number of proper k-colorings by the telescoping product.
+
+    The phases walk the prefixes of one edge order: phase i samples the graph
+    made of the first i - 1 edges and estimates the chance that edge i's
+    endpoints differ.  The order is the graph's edge order; without a caller
+    bound, ``_jerrum_last_edge`` may move one hub edge last.
 
     Each of the #E phases estimates its ratio to additive precision epsilon/#E
     with failure budget delta/#E from a warm-started lazified single-site
@@ -537,9 +509,8 @@ def jvv_count(
     phase uses that one bound, as in Jerrum's scheme: the sampling graphs are
     nested, so it holds on each, and every phase runs the same T, tau and m.
     Otherwise each phase takes ``coloring_lambda`` of its own sampling graph,
-    so phases a proof covers keep it.  Without ``edge_order`` the input order
-    is used, with ``_jerrum_last_edge`` applied.  Every phase outcome records
-    the bound it used and its source.
+    so phases a proof covers keep it.  Every phase outcome records the bound
+    it used and its source.
 
     Each phase walks the chain's marginal on its support, the components of
     its edge's endpoints in its sampling graph, from the greedy coloring of
@@ -566,45 +537,32 @@ def jvv_count(
         raise ValueError(f"unknown estimator {estimator!r}")
     if lambda_bound is not None:
         checked_lambda(float(lambda_bound))
-    order = _validated_order(graph, edge_order)
-    if order and edge_order is None and lambda_bound is None:
+    order = graph.edges
+    if order and lambda_bound is None:
         order = _jerrum_last_edge(graph.n, k, order)
-    phases = build_phase_sequence(graph, order)
-    if not phases:
-        return CountResult(
-            log_count=graph.n * math.log(k),
-            estimate=render_decimal(graph.n * math.log(k)),
-            phases=(),
-            total_steps=0,
-            k=k,
-            n=graph.n,
-            edge_order=(),
-            estimator=estimator,
-        )
     floor = ergodicity_floor(graph, order)
     if k < floor:
         raise GuardError(
             f"ergodicity floor: k={k} is below the admissible minimum {floor} "
             f"for this graph's sampling phases (degeneracy + 2)"
         )
+    if order:  # an edgeless graph has k^n colorings: no phase, bound or size check
+        eps_i = epsilon / len(order)
+        delta_i = delta / len(order)
+        pi_min = 1.0 / coloring_space_size(graph.n, k)
+        shared = coloring_lambda(Graph(graph.n, order[:-1]), k, lambda_bound)
 
-    n_phases = len(phases)
-    eps_i = epsilon / n_phases
-    delta_i = delta / n_phases
-    pi_min = 1.0 / coloring_space_size(graph.n, k)
-
-    shared = coloring_lambda(Graph(graph.n, order[:-1]), k, lambda_bound)
     outcomes = []
     log_count = graph.n * math.log(k)
     total_steps = 0
-    for phase in phases:
-        sampling_graph = phase.sampling_graph
-        support = phase.support
-        fn = _phase_indicator(phase.edge, support)
+    for index, edge in enumerate(order, 1):
+        sampling_graph = Graph(graph.n, order[:index - 1])
+        support = sampling_graph.components_of(edge)
+        fn = _phase_indicator(edge, support)
         lazy_lambda, source = shared if shared[1] != "heuristic" else coloring_lambda(sampling_graph, k)
         kernel = glauber_kernel(sampling_graph, k, support)
         start = greedy_coloring(sampling_graph, k)[list(support)]
-        phase_seed = child_seed(seed, PHASE, phase.index)
+        phase_seed = child_seed(seed, PHASE, index)
         if estimator == "dynamite":
             report = warm_start(start, kernel, lazy_lambda, pi_min, fn, eps_i, delta_i, phase_seed)
             ratio = report.estimate
@@ -621,7 +579,7 @@ def jvv_count(
             report = None
         if ratio <= 0.0:
             raise StatisticalFailure(
-                f"phase {phase.index} (edge {phase.edge}) produced ratio {ratio}; "
+                f"phase {index} (edge {edge}) produced ratio {ratio}; "
                 "this cannot happen when the per-phase guarantees hold with "
                 "epsilon/I < 1/2 and signals a mis-specified eigenvalue bound"
             )
@@ -629,8 +587,8 @@ def jvv_count(
         total_steps += steps
         outcomes.append(
             PhaseOutcome(
-                index=phase.index,
-                edge=phase.edge,
+                index=index,
+                edge=edge,
                 ratio=ratio,
                 steps=steps,
                 method=estimator,

@@ -109,10 +109,15 @@ class TestMcmcPro:
         with pytest.raises(ValueError, match="trace length"):
             dm.mcmc_pro((0, 4), cycle8, 0.5, cycle8_f1, 0.05, 0.1, seed=0, trace_length=0)
 
-    @pytest.mark.parametrize("pair", ((8, 4), (0, -1)))
+    @pytest.mark.parametrize("pair", ((8, 4), (0, -1), (99, -5)))
     def test_rejects_invalid_start(self, pair, cycle8, cycle8_f1):
-        with pytest.raises(ValueError, match="start state"):
-            dm.mcmc_pro(pair, cycle8, 0.5, cycle8_f1, 0.05, 0.1, seed=0)
+        # a constant f returns before any step, so its start is checked on entry
+        constant = dm.ScalarFunction(lambda xs: np.zeros(len(xs)), lo=0.0, hi=0.0)
+        for f in (cycle8_f1, constant):
+            with pytest.raises(ValueError, match="start state"):
+                dm.mcmc_pro(pair, cycle8, 0.5, f, 0.05, 0.1, seed=0)
+            with pytest.raises(ValueError, match="start state"):
+                dm.dynamite(pair, cycle8, 0.5, f, 0.05, 0.1, seed=0)
 
     def test_early_stop_on_constant_function(self):
         # declared range [0, 1] but f is identically zero, so the radius

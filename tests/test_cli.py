@@ -160,6 +160,22 @@ class TestEstimate:
         assert code == EXIT_CONFIG
         assert "--start" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("states", ("99", "1,,2"))
+    @pytest.mark.parametrize("command", (
+        ["analyze-chain"],
+        ["estimate", "--method", "dynamite", "--epsilon", "0.1", "--delta", "0.1"],
+    ))
+    def test_indicator_states_outside_the_chain_exit_two_before_summarising(self, command, states, capsys,
+                                                                            monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("summarised before --states was checked")
+
+        monkeypatch.setattr("dynamite.cli.summarize", no_work)
+        code = run_cli(command + ["--chain", "cycle", "--n", "8", "--fn", "indicator", "--states", states])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--states" in err and "0..7" in err
+
     @pytest.mark.parametrize("n", ("4097", "50000"))
     @pytest.mark.parametrize("command", (
         ["analyze-chain"],
@@ -204,6 +220,16 @@ class TestCountColorings:
         assert run_cli(["count-colorings", "--graph", str(path), "--k", "2", "--out", str(out)]) == 0
         payload = read_json(out)
         assert payload["estimate"] == "32"
+        assert payload["total_steps"] == 0
+
+    def test_count_is_finite_while_it_fits_a_float(self, tmp_path):
+        # 5^438 ~ 1.41e306: ln is 704.9, past 700 but short of the float limit 709.78
+        path = tmp_path / "edgeless438.json"
+        path.write_text(json.dumps({"n": 438, "edges": []}))
+        out = tmp_path / "count.json"
+        assert run_cli(["count-colorings", "--graph", str(path), "--k", "5", "--out", str(out)]) == 0
+        payload = read_json(out)
+        assert payload["count"] == pytest.approx(5.0 ** 438)
         assert payload["total_steps"] == 0
 
     @pytest.mark.parametrize("bound", ["1.5", "abc"])

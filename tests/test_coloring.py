@@ -3,7 +3,6 @@ import json
 import math
 import re
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -217,46 +216,36 @@ class TestBruteForce:
             dm.brute_force_count(dm.Graph(40, ()), 3)
 
 
-class TestPhaseSequence:
-    def test_edgeless_graph_has_no_phases(self):
-        assert dm.build_phase_sequence(dm.Graph(5, ())) == []
+class TestPhaseWalk:
+    @staticmethod
+    def kernel_calls(monkeypatch, graph):
+        """(sampling-graph size, support) of every kernel one count builds."""
+        import dynamite.coloring as coloring_mod
 
-    def test_single_edge(self):
-        phases = dm.build_phase_sequence(dm.Graph(2, ((0, 1),)))
-        assert len(phases) == 1
-        assert phases[0].sampling_graph.edges == ()
-        assert phases[0].edge == (0, 1)
+        calls, real = [], coloring_mod.glauber_kernel
 
-    def test_each_phase_supports_its_edge_components(self):
-        order = ((2, 3), (0, 1), (1, 2), (3, 0))
-        assert dm.build_phase_sequence(C4, order)[0].support == (2, 3)  # phase 1 samples an edgeless graph
-        assert [p.support for p in dm.build_phase_sequence(C4, order)] == [(2, 3), (0, 1), (0, 1, 2, 3), (0, 1, 2, 3)]
-        assert [p.support for p in dm.build_phase_sequence(TWO_TRIANGLES)] == [
+        def recording(sampling_graph, k, vertices=None):
+            calls.append((len(sampling_graph.edges), tuple(vertices)))
+            return real(sampling_graph, k, vertices)
+
+        monkeypatch.setattr(coloring_mod, "glauber_kernel", recording)
+        dm.jvv_count(graph, 5, 0.9, 0.9, estimator="static-hoeffding", seed=0)
+        return calls
+
+    def test_triangle_phases_grow_by_one_edge(self, monkeypatch):
+        assert self.kernel_calls(monkeypatch, TRIANGLE) == [(0, (0, 1)), (1, (0, 1, 2)), (2, (0, 1, 2))]
+
+    def test_each_phase_supports_its_edge_components(self, monkeypatch):
+        # phase 3's edge joins two 2-vertex components of the sampling graph
+        c4 = dm.Graph(4, ((2, 3), (0, 1), (1, 2), (0, 3)))
+        assert self.kernel_calls(monkeypatch, c4) == [(0, (2, 3)), (1, (0, 1)), (2, (0, 1, 2, 3)), (3, (0, 1, 2, 3))]
+        monkeypatch.undo()
+        assert self.kernel_calls(monkeypatch, TWO_TRIANGLES) == list(zip(range(6), [
             (0, 1), (0, 1, 2), (0, 1, 2), (3, 4), (3, 4, 5), (3, 4, 5),
-        ]
+        ]))
 
-    def test_triangle_growth(self):
-        phases = dm.build_phase_sequence(TRIANGLE)
-        sizes = [len(p.sampling_graph.edges) for p in phases]
-        assert sizes == [0, 1, 2]
-
-    def test_phases_share_one_edge_order(self):
-        # one shared order tuple, not a stored graph per phase: O(#E) memory
-        path2000 = dm.Graph(2001, tuple((i, i + 1) for i in range(2000)))
-        tracemalloc.start()
-        try:
-            phases = dm.build_phase_sequence(path2000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(phases) == 2000
-        assert all(p.order is phases[0].order for p in phases)
-        assert peak < 4 * 2 ** 20, peak
-        assert phases[-1].sampling_graph.edges == path2000.edges[:-1]
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError, match="permutation"):
-            dm.build_phase_sequence(C4, edge_order=[(0, 1)])
+    def test_edgeless_graph_builds_no_kernel(self, monkeypatch):
+        assert self.kernel_calls(monkeypatch, dm.Graph(5, ())) == []
 
 
 class TestTelescoping:
@@ -271,16 +260,17 @@ class TestTelescoping:
             product *= r
         assert product == dm.brute_force_count(graph, k)
 
+    def test_ratios_refuse_a_non_permutation(self):
+        with pytest.raises(ValueError, match="permutation"):
+            dm.exact_phase_ratios(C4, 3, edge_order=[(0, 1)])
+
     def test_phase_mean_equals_count_ratio(self):
-        for phase in dm.build_phase_sequence(C4):
-            hits = 0
-            total = 0
-            for coloring in enumerate_colorings(phase.sampling_graph, 3):
-                total += 1
-                hits += int(coloring[phase.edge[0]] != coloring[phase.edge[1]])
-            with_edge = dm.Graph(4, phase.sampling_graph.edges + (phase.edge,))
-            assert Fraction(hits, total) == Fraction(
-                dm.brute_force_count(with_edge, 3), dm.brute_force_count(phase.sampling_graph, 3)
+        for i, (u, v) in enumerate(C4.edges):
+            sampling_graph = dm.Graph(4, C4.edges[:i])
+            colorings = list(enumerate_colorings(sampling_graph, 3))
+            hits = sum(coloring[u] != coloring[v] for coloring in colorings)
+            assert Fraction(hits, len(colorings)) == Fraction(
+                dm.brute_force_count(dm.Graph(4, C4.edges[:i + 1]), 3), dm.brute_force_count(sampling_graph, 3)
             )
 
 
@@ -296,8 +286,7 @@ class TestErgodicityFloor:
     def test_floor_is_max_over_phase_graphs(self, data):
         graph = data.draw(small_graphs())
         order = data.draw(st.permutations(graph.edges))
-        phases = dm.build_phase_sequence(graph, order)
-        expected = max((p.sampling_graph.degeneracy() for p in phases), default=-1) + 2
+        expected = max((dm.Graph(graph.n, order[:i]).degeneracy() for i in range(len(order))), default=-1) + 2
         assert dm.ergodicity_floor(graph, order) == expected
 
     def test_pipeline_refuses_below_floor(self):
@@ -434,9 +423,6 @@ class TestColoringLambda:
         result = dm.jvv_count(tailed, 5, 0.9, 0.9, estimator="static-hoeffding", seed=0)
         assert result.edge_order == ((0, 1), (0, 2), (1, 2), (3, 4), (2, 4))
         assert [p.lambda_source for p in result.phases] == ["jerrum"] * 5
-        given_order = dm.jvv_count(tailed, 5, 0.9, 0.9, estimator="static-hoeffding", seed=0, edge_order=tailed.edges)
-        assert given_order.edge_order == tailed.edges
-        assert [p.lambda_source for p in given_order.phases] == ["jerrum"] * 4 + ["heuristic"]
         caller = dm.jvv_count(tailed, 5, 0.9, 0.9, estimator="static-hoeffding", seed=0, lambda_bound=0.9)
         assert caller.edge_order == tailed.edges
 

@@ -159,11 +159,13 @@ import json, sys
 import test_replay
 kernel, f = test_replay._cycle8()
 glauber = test_replay.dm.glauber_kernel(test_replay._c4(), 3)
+constant = test_replay.dm.ScalarFunction(lambda xs: [0.0] * len(xs), lo=0.0, hi=0.0)
 refused = []
 for check in (lambda: f(8), lambda: f.values([0, -1]), lambda: kernel.check_start(8),
               lambda: glauber.check_start([1, 1, 2, 3]), lambda: kernel.advance(8, 0, None),
               lambda: glauber.advance([1, 1, 2, 3], 0, None), lambda: kernel.advance(0, 10, None, f, 3),
-              lambda: test_replay.dm.glauber_kernel(test_replay._c4(), 3, [0, 1])):
+              lambda: test_replay.dm.glauber_kernel(test_replay._c4(), 3, [0, 1]),
+              lambda: test_replay.dm.mcmc_pro((99, -5), kernel, 0.5, constant, 0.1, 0.1, seed=0)):
     try:
         check()
     except ValueError:
@@ -177,8 +179,8 @@ json.dump({"payloads": {name: test_replay.payload(name) for name in sys.argv[1:]
 
 def test_payloads_and_state_checks_survive_optimized_mode(recorded):
     # python -O strips asserts: the cycle and counting payloads must replay, and out-of-range
-    # states, an improper coloring, steps that are not whole blocks and a vertex set that is not
-    # a union of components must still be refused
+    # states, an improper coloring, steps that are not whole blocks, a vertex set that is not
+    # a union of components and a bad start with a constant f must still be refused
     path = os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, *OPTIMIZED_CASES],
@@ -186,7 +188,7 @@ def test_payloads_and_state_checks_survive_optimized_mode(recorded):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["refused"] == [True] * 8
+    assert out["refused"] == [True] * 9
     for name in OPTIMIZED_CASES:
         assert out["payloads"][name] == recorded[name], name
 
