@@ -15,6 +15,7 @@ from .adaptive import (
     dynamite,
     mcmc_pro,
     select_trace_length,
+    static_estimate,
     uniform_mixing_steps,
     warm_start,
 )
@@ -47,7 +48,6 @@ from .estimators import (
     bernstein_sample_complexity,
     empirical_mean,
     hoeffding_sample_complexity,
-    static_estimate,
     two_chain_variance,
     variance_upper_bound,
 )

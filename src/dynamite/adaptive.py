@@ -1,6 +1,7 @@
-"""Adaptive mean estimation with a doubling schedule over paired chains.
+"""Adaptive mean estimation with a doubling schedule over paired chains, and its static baseline.
 
-One estimator loop with two entry points on top of it:
+One estimator loop with two entry points on top of it, and the fixed-size
+baseline it is measured against:
 
 * ``mcmc_pro`` runs two independent copies of a chain on a fixed doubling
   schedule, maintains the paired-chain variance estimate with its upper
@@ -28,13 +29,16 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import ScalarFunction, TransitionKernel
+from .chains import CHUNK, ScalarFunction, TransitionKernel
+from .errors import GuardError
 from .estimators import (
     ConcentrationParams,
     PairedEvaluations,
     bernstein_radius,
+    bernstein_sample_complexity,
     checked_lambda,
     empirical_mean,
+    hoeffding_sample_complexity,
     two_chain_variance,
     variance_upper_bound,
 )
@@ -47,6 +51,21 @@ _CEIL_NUDGE = 1e-9  # keep exact integer boundaries (e.g. log ratios) from round
 RADIUS_MET = "radius-met"
 SCHEDULE_EXHAUSTED = "schedule-exhausted"
 DEGENERATE_RANGE = "degenerate-range"
+STATIC = "static"
+
+STEP_CAP = 10 ** 9
+"""Most base steps one run may plan (2 T m_I, plus 2 tau warm-up, or tau + m for static).
+
+Every cost is known before sampling; a billion steps is minutes of Glauber
+sampling and, at T = 1, 4 GB of ``mcmc_pro`` block means, while the tests and
+the benchmark plan at most ~7.1e6.  Above it a request is refused, not run.
+"""
+
+
+def check_steps(planned: int) -> None:
+    """Refuse a run that plans more than ``STEP_CAP`` base steps, with a GuardError."""
+    if planned > STEP_CAP:
+        raise GuardError(f"the run plans {planned:,} base steps, above the cap of {STEP_CAP:,}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,6 +195,7 @@ def mcmc_pro(
     if f.value_range == 0:
         return _degenerate_report(f, seed, epsilon, delta, block_lambda, t)
     schedule = build_schedule(f.value_range, epsilon, block_lambda, delta)
+    check_steps(2 * t * schedule.sizes[-1])
     rng_a = stream(seed, CHAIN_A)
     rng_b = stream(seed, CHAIN_B)
 
@@ -275,14 +295,61 @@ def warm_start(
     ``pi_min`` must lower bound the minimum stationary probability; after
     tau_unif = ceil(ln(1/pi_min)/ln(1/Lambda)) paired steps from (start, start)
     the run proceeds with failure budget delta/4, absorbing the residual
-    nonstationarity.  Warm-up steps are charged to the report.
+    nonstationarity.  Warm-up steps are charged to the report, and the
+    warm-up and the whole schedule are checked against ``STEP_CAP`` before
+    the warm-up walks.
     """
     if not (kernel.is_lazy and kernel.is_reversible):
         raise ValueError(f"warm start needs a lazy reversible chain, got {kernel.name!r}")
     tau_unif = uniform_mixing_steps(lambda_bound, pi_min)
+    t = select_trace_length(lambda_bound)
+    schedule_steps = (2 * t * build_schedule(f.value_range, epsilon, lambda_bound ** t, delta / 4.0).sizes[-1]
+                      if f.value_range else 0)
+    check_steps(2 * tau_unif + schedule_steps)
     rng_w = stream(seed, WARMUP)
     x0, _ = kernel.advance(start, tau_unif, rng_w)
     x1, _ = kernel.advance(start, tau_unif, rng_w)
     report = dynamite((x0, x1), kernel, lambda_bound, f, epsilon, delta / 4.0, seed)
     warmup = 2 * tau_unif
     return dataclasses.replace(report, warmup_steps=warmup, total_base_steps=report.total_base_steps + warmup)
+
+
+def static_estimate(
+    start,
+    kernel: TransitionKernel,
+    lambda_bound: float,
+    pi_min: Optional[float],
+    f: ScalarFunction,
+    epsilon: float,
+    delta: float,
+    seed: int,
+    *,
+    variance: Optional[float] = None,
+) -> EstimateReport:
+    """Classic fixed-size baseline: the mean of f over one path of m steps sized in advance.
+
+    m is the Hoeffding size for f's range at radius ``epsilon`` with failure
+    ``delta``, or the Bernstein size when the stationary ``variance`` is
+    given.  With ``pi_min`` the path starts after tau uniform-mixing warm-up
+    steps from ``start``, as in ``warm_start``; with None the start must be
+    stationary and tau = 0.  f is summed ``CHUNK`` steps at a time, so memory
+    does not grow with m.  The report charges tau + m steps and ends
+    ``"static"``, with no schedule and no iterations.
+    """
+    kernel.check_start(start)  # here too, since a constant f returns before any step
+    params = ConcentrationParams(lambda_bound=lambda_bound, value_range=f.value_range, delta_prime=delta, m=1)
+    report = _degenerate_report(f, seed, epsilon, delta, lambda_bound, 1)
+    if f.value_range == 0:
+        return report
+    m = (hoeffding_sample_complexity(params, epsilon) if variance is None
+         else bernstein_sample_complexity(params, variance, epsilon))
+    tau = 0 if pi_min is None else uniform_mixing_steps(lambda_bound, pi_min)
+    check_steps(tau + m)
+    state, _ = kernel.advance(start, tau, stream(seed, WARMUP))
+    rng = stream(seed, CHAIN_A)
+    total = 0.0
+    for done in range(0, m, CHUNK):
+        state, values = kernel.advance(state, min(CHUNK, m - done), rng, f)
+        total += float(values.sum())
+    return dataclasses.replace(report, estimate=total / m, total_base_steps=tau + m, warmup_steps=tau,
+                               termination=STATIC)

@@ -23,8 +23,8 @@ as lists); JSON keys are sorted.
 
 * analyze-chain: {chain, function, spectral: SpectralSummary,
   profiles: [VarianceProfile...], sandwich: [SandwichVerdict...] or null}
-* estimate: {config, reports: [EstimateReport...], aggregate}, the static
-  methods' reports too (termination "static", no schedule, no iterations).
+* estimate: {config, reports: [EstimateReport...], aggregate}; a static method's
+  report is ``static_estimate``'s: termination "static", no warm-up (stationary start).
 * count-colorings: CountResult, its derived ``count`` (null when infinite)
   and, under --exact, {exact, relative_error}.
 * graph files: Graph, {"n": int, "edges": [[u, v], ...]} with 0-indexed vertices.
@@ -43,17 +43,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .adaptive import EstimateReport, dynamite, mcmc_pro, warm_start
+from .adaptive import dynamite, mcmc_pro, static_estimate, warm_start
 from .chains import ScalarFunction, indicator_function, make_cycle, make_cycle_function, make_two_state_uniform
 from .coloring import Graph, brute_force_count, jvv_count
 from .errors import GuardError, StatisticalFailure
-from .estimators import (
-    ConcentrationParams,
-    bernstein_sample_complexity,
-    checked_lambda,
-    hoeffding_sample_complexity,
-    static_estimate,
-)
+from .estimators import checked_lambda
 from .planted import PlantedParams, cut_set, generate
 from .rng import REPLICATE, child_seed, stream
 from .spectral import MATRIX_CAP, check_sandwich, exact_trace_variance, summarize
@@ -178,27 +172,9 @@ def _run_method(method, kernel, f, lam, summary, epsilon, delta, seed, rng, star
         fn = mcmc_pro if method == "mcmc-pro" else dynamite
         return fn(_stationary_pair(summary, rng), kernel, lam, f, epsilon, delta, seed).to_json()
     if method in ("static-hoeffding", "static-bernstein"):
-        params = ConcentrationParams(lambda_bound=lam, value_range=f.value_range, delta_prime=delta, m=1)
-        if method == "static-hoeffding":
-            m = hoeffding_sample_complexity(params, epsilon)
-        else:
-            m = bernstein_sample_complexity(params, summary.stationary_variance, epsilon)
+        variance = summary.stationary_variance if method == "static-bernstein" else None
         start = _stationary_pair(summary, rng)[0]
-        est = static_estimate(kernel, f, m, start, stream(seed, 0))
-        return EstimateReport(
-            estimate=est,
-            iterations=(),
-            total_base_steps=m,
-            warmup_steps=0,
-            termination="static",
-            seed=seed,
-            epsilon=epsilon,
-            delta=delta,
-            lambda_bound=lam,
-            trace_length=1,
-            function_range=(f.lo, f.hi),
-            schedule=None,
-        ).to_json()
+        return static_estimate(start, kernel, lam, None, f, epsilon, delta, seed, variance=variance).to_json()
     raise ConfigError(f"unknown method {method!r}")
 
 

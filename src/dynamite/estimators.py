@@ -17,8 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import ScalarFunction, TransitionKernel
-from .rng import as_generator
 
 SQRT21 = math.sqrt(21.0)
 
@@ -152,10 +150,3 @@ def bernstein_radius(u: float, params: ConcentrationParams) -> float:
     ell = params.log_term
     return float(10 * r * ell / ((1 - lam) * m) + math.sqrt((1 + lam) * u * ell / ((1 - lam) * m)))
 
-
-def static_estimate(kernel: TransitionKernel, f: ScalarFunction, m: int, start, rng) -> float:
-    """Classic fixed-size baseline: empirical mean over one length-m trace."""
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    _, means = kernel.advance(start, m, as_generator(rng), f, block=m)
-    return float(means[0])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynamite as dm
+from dynamite import adaptive
 from dynamite.adaptive import DEGENERATE_RANGE, RADIUS_MET, SCHEDULE_EXHAUSTED
 from dynamite.rng import stream
 
@@ -70,18 +71,79 @@ class TestTraceLengthAndWarmup:
 
 
 @pytest.mark.parametrize("bound", [-0.5, 1.0, 1.5, math.nan])
-@pytest.mark.parametrize("entry", ["mcmc_pro", "mcmc_pro-constant", "warm_start", "uniform_mixing_steps"])
+@pytest.mark.parametrize("entry", [
+    "mcmc_pro", "mcmc_pro-constant", "warm_start", "uniform_mixing_steps", "static_estimate",
+    "static_estimate-constant",
+])
 def test_bad_lambda_is_refused_on_entry(entry, bound, cycle8, cycle8_f1):
     # checked as given: -0.5 ** 2 would pass as a block bound, and a constant f returns early
     const = dm.ScalarFunction(lambda xs: np.full(len(xs), 0.7), lo=0.7, hi=0.7, name="const")
+    f = const if entry.endswith("constant") else cycle8_f1
     with pytest.raises(ValueError, match=re.escape(f"lambda bound must lie in [0, 1), got {bound}")):
         if entry == "uniform_mixing_steps":
             dm.uniform_mixing_steps(bound, 1 / 8)
         elif entry == "warm_start":
             dm.warm_start(0, cycle8, bound, 1 / 8, cycle8_f1, 0.05, 0.1, seed=0)
+        elif entry.startswith("static_estimate"):
+            dm.static_estimate(0, cycle8, bound, None, f, 0.05, 0.1, seed=0)
         else:
-            f = const if entry.endswith("constant") else cycle8_f1
             dm.mcmc_pro((0, 4), cycle8, bound, f, 0.05, 0.1, seed=0, trace_length=2)
+
+
+class TestStepCap:
+    def test_cap_is_inclusive(self):
+        adaptive.check_steps(adaptive.STEP_CAP)
+        with pytest.raises(dm.GuardError, match="base steps, above the cap"):
+            adaptive.check_steps(adaptive.STEP_CAP + 1)
+
+    @pytest.mark.parametrize("entry", ["mcmc_pro", "dynamite", "warm_start", "warm_start-warmup", "static_estimate",
+                                       "static_estimate-warmup"])
+    def test_oversize_plans_are_refused_before_sampling(self, entry, cycle8_f1):
+        counted, counter = counting_kernel(dm.make_cycle(8))
+        lam = math.cos(math.pi / 8) ** 2
+        # a tiny radius plans ~1e14 steps; a bound near 1 with a tiny pi_min plans a ~6.9e9-step warm-up
+        eps, lam, pi_min = (0.2, 1 - 1e-7, 1e-300) if entry.endswith("warmup") else (1e-7, lam, 1 / 8)
+        with pytest.raises(dm.GuardError, match="above the cap"):
+            if entry.startswith("static_estimate"):
+                dm.static_estimate(0, counted, lam, pi_min, cycle8_f1, eps, 0.1, seed=0)
+            elif entry.startswith("warm_start"):
+                dm.warm_start(0, counted, lam, pi_min, cycle8_f1, eps, 0.1, seed=0)
+            else:
+                getattr(dm, entry)((0, 4), counted, lam, cycle8_f1, eps, 0.1, seed=0)
+        assert counter.count == 0
+
+    @given(
+        entry=st.sampled_from(["mcmc_pro", "dynamite", "warm_start", "static_estimate", "static_estimate-warmup",
+                               "static_estimate-bernstein"]),
+        lam=st.floats(min_value=0.0, max_value=0.9),
+        epsilon=st.floats(min_value=0.03, max_value=0.5),
+        delta=st.floats(min_value=0.01, max_value=0.5),
+        seed=st.integers(min_value=0, max_value=2 ** 32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_run_never_walks_past_the_plan_it_was_checked_on(self, entry, lam, epsilon, delta, seed):
+        counted, counter = counting_kernel(dm.make_cycle(8))
+        f = dm.make_cycle_function(8, 1)
+        plans, check = [], adaptive.check_steps
+
+        def recorded(planned):
+            plans.append(planned)
+            check(planned)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(adaptive, "check_steps", recorded)
+            if entry.startswith("static_estimate"):
+                pi_min = 1 / 8 if entry.endswith("warmup") else None
+                variance = 0.25 if entry.endswith("bernstein") else None
+                report = dm.static_estimate(1, counted, lam, pi_min, f, epsilon, delta, seed, variance=variance)
+            elif entry == "warm_start":
+                report = dm.warm_start(1, counted, lam, 1 / 8, f, epsilon, delta, seed)
+            else:
+                report = getattr(dm, entry)((0, 4), counted, lam, f, epsilon, delta, seed)
+        assert plans
+        assert counter.count == report.total_base_steps <= plans[0]
+        if entry.startswith("static_estimate"):
+            assert report.total_base_steps == plans[0]
 
 
 class TestMcmcPro:

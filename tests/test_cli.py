@@ -192,6 +192,21 @@ class TestEstimate:
         assert time.perf_counter() - started < 1.0
         assert f"capped at {MATRIX_CAP} states" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ("dynamite", "mcmc-pro", "static-hoeffding", "static-bernstein", "warm-start"))
+    def test_oversize_run_exits_three_before_sampling(self, method, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the step cap")
+
+        monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+        started = time.perf_counter()
+        code = run_cli([
+            "estimate", "--chain", "cycle", "--n", "16", "--fn", "cycle-f", "--i", "1",
+            "--method", method, "--epsilon", "1e-7", "--delta", "0.1",
+        ])
+        assert code == EXIT_GUARD
+        assert time.perf_counter() - started < 1.0
+        assert "above the cap" in capsys.readouterr().err
+
 
 class TestCountColorings:
     @pytest.fixture()
@@ -298,6 +313,22 @@ class TestCountColorings:
         monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
         assert run_cli(["count-colorings", "--graph", str(path), "--k", "40000"]) == EXIT_GUARD
         assert "int16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator", ("dynamite", "static-hoeffding"))
+    def test_oversize_count_exits_three_before_sampling(self, estimator, tmp_path, capsys, monkeypatch):
+        # phase 1 of a 500-vertex path at k=3 plans ~1e10 steps or more with either estimator
+        path = tmp_path / "path500.json"
+        path.write_text(json.dumps(dm.Graph(500, tuple((i, i + 1) for i in range(499))).to_json()))
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the step cap")
+
+        monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+        started = time.perf_counter()
+        code = run_cli(["count-colorings", "--graph", str(path), "--k", "3", "--estimator", estimator])
+        assert code == EXIT_GUARD
+        assert time.perf_counter() - started < 1.0
+        assert "above the cap" in capsys.readouterr().err
 
     def test_size_overflow_guard_exit_three(self, tmp_path, capsys):
         path = tmp_path / "path460.json"

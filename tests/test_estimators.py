@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynamite as dm
+from dynamite.adaptive import DEGENERATE_RANGE
+from dynamite.chains import CHUNK
 from dynamite.rng import CHAIN_A, CHAIN_B, stream
+
+from _oracles import counting_kernel
 
 
 def params(lam=0.0, r=1.0, delta_prime=math.exp(-1.0), m=1):
@@ -137,26 +142,73 @@ class TestBernsteinRadius:
 class TestStaticEstimate:
     def test_identity_chain_returns_start_value(self):
         f = dm.indicator_function([2])
-        assert dm.static_estimate(dm.matrix_kernel(np.eye(4), "identity-4"), f, 5, 2, rng=0) == 1.0
-        assert dm.static_estimate(dm.matrix_kernel(np.eye(4), "identity-4"), f, 5, 1, rng=0) == 0.0
+        identity = dm.matrix_kernel(np.eye(4), "identity-4")
+        assert dm.static_estimate(2, identity, 0.0, None, f, 0.1, 0.1, seed=0).estimate == 1.0
+        assert dm.static_estimate(1, identity, 0.0, None, f, 0.1, 0.1, seed=0).estimate == 0.0
 
     def test_rejects_bad_inputs(self, cycle8, cycle8_f1):
-        with pytest.raises(ValueError, match="sample count"):
-            dm.static_estimate(cycle8, cycle8_f1, 0, 0, rng=0)
-        with pytest.raises(ValueError, match="start state"):
-            dm.static_estimate(cycle8, cycle8_f1, 3, 99, rng=0)
+        # a constant f returns before any step, so its start is checked on entry
+        constant = dm.ScalarFunction(lambda xs: np.zeros(len(xs)), lo=0.0, hi=0.0)
+        for f in (cycle8_f1, constant):
+            with pytest.raises(ValueError, match="start state"):
+                dm.static_estimate(99, cycle8, 0.5, None, f, 0.1, 0.1, seed=0)
+            with pytest.raises(ValueError, match="start state"):
+                dm.static_estimate(8, cycle8, 0.5, 1 / 8, f, 0.1, 0.1, seed=0)
 
     def test_single_sample_is_binary(self, cycle8, cycle8_f1):
-        v = dm.static_estimate(cycle8, cycle8_f1, 1, 0, rng=3)
-        assert v in (0.0, 1.0)
+        # at lambda 0 and epsilon 1 the Hoeffding size is ceil(ln(2/delta)/2) = 1
+        report = dm.static_estimate(0, cycle8, 0.0, None, cycle8_f1, 1.0, 0.5, seed=3)
+        assert report.total_base_steps == 1
+        assert report.estimate in (0.0, 1.0)
 
     def test_hoeffding_budget_achieves_coverage(self, cycle8, cycle8_f1):
         lam = dm.summarize(cycle8, cycle8_f1).second_eigenvalue
-        p = dm.ConcentrationParams(lambda_bound=lam, value_range=1.0, delta_prime=0.1, m=1)
-        budget = dm.hoeffding_sample_complexity(p, 0.1)
         hits = 0
         for rep in range(200):
             start = int(stream(17, rep, 0).integers(0, 8))
-            est = dm.static_estimate(cycle8, cycle8_f1, budget, start, stream(17, rep, 1))
-            hits += abs(est - 0.5) <= 0.1
+            report = dm.static_estimate(start, cycle8, lam, None, cycle8_f1, 0.1, 0.1, seed=17_000 + rep)
+            hits += abs(report.estimate - 0.5) <= 0.1
         assert hits >= 180
+
+    def test_constant_function_gives_the_degenerate_report(self, cycle8):
+        const = dm.ScalarFunction(lambda xs: np.full(len(xs), 0.7), lo=0.7, hi=0.7, name="const")
+        report = dm.static_estimate(3, cycle8, 0.5, 1 / 8, const, 0.05, 0.1, seed=0)
+        assert report.estimate == 0.7
+        assert report.termination == DEGENERATE_RANGE
+        assert report.total_base_steps == report.warmup_steps == 0
+
+    @pytest.mark.parametrize("variance", (None, 0.25))
+    def test_sizes_warms_up_and_reports(self, variance, cycle8_f1):
+        counted, counter = counting_kernel(dm.make_cycle(8))
+        lam = math.cos(math.pi / 8) ** 2
+        report = dm.static_estimate(1, counted, lam, 1 / 8, cycle8_f1, 0.05, 0.1, seed=4, variance=variance)
+        budget = params(lam=lam, delta_prime=0.1)
+        m = (dm.hoeffding_sample_complexity(budget, 0.05) if variance is None
+             else dm.bernstein_sample_complexity(budget, variance, 0.05))
+        tau = dm.uniform_mixing_steps(lam, 1 / 8)
+        assert (report.warmup_steps, report.total_base_steps, counter.count) == (tau, tau + m, tau + m)
+        assert (report.termination, report.iterations, report.schedule, report.trace_length) == ("static", (), None, 1)
+        assert report.lambda_bound == lam and report.delta == 0.1
+
+    def test_chunked_mean_matches_the_whole_path(self):
+        # m ~ 64 CHUNK steps: the sum runs chunk by chunk, on the generator positions of one whole path
+        kernel, f = dm.make_cycle(16), dm.make_cycle_function(16, 1)
+        lam = math.cos(math.pi / 16) ** 2
+        report = dm.static_estimate(5, kernel, lam, None, f, 0.0086, 0.1, seed=21)
+        m = report.total_base_steps
+        assert 60 * CHUNK < m < 68 * CHUNK
+        whole = f.values(kernel.path(5, m, stream(21, CHAIN_A))).mean()
+        assert abs(report.estimate - whole) <= 1e-12
+
+    def test_memory_does_not_grow_with_m(self):
+        kernel, f = dm.make_cycle(16), dm.make_cycle_function(16, 1)
+        lam = math.cos(math.pi / 16) ** 2
+        dm.static_estimate(5, kernel, lam, None, f, 0.1, 0.1, seed=21)  # first-call allocations are not m's
+        tracemalloc.start()
+        try:
+            report = dm.static_estimate(5, kernel, lam, None, f, 0.0086, 0.1, seed=21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.total_base_steps > 60 * CHUNK
+        assert peak < 1 << 20  # a whole path's values alone would be 8 bytes a step, ~8 MB

@@ -26,6 +26,10 @@ only the Glauber chain's marginal on its support (the components of its
 edge's endpoints in its sampling graph): that marginal draws from the
 generator exactly as the whole chain does, and its path is the whole chain's
 path restricted to the support, so every payload replays unchanged.
+Nor were they when ``static_estimate`` became the one static estimator and
+began to sum f ``CHUNK`` steps at a time: ``jvv_count_c4_static`` walks the
+same warm-up and path on the same streams, and its f is an indicator, whose
+sums are exact in any order.
 Any change to a sampled state, an estimate, a schedule or a step count shows
 up here as a payload mismatch.  To record the file again from a given
 revision::
@@ -165,13 +169,15 @@ for check in (lambda: f(8), lambda: f.values([0, -1]), lambda: kernel.check_star
               lambda: glauber.check_start([1, 1, 2, 3]), lambda: kernel.advance(8, 0, None),
               lambda: glauber.advance([1, 1, 2, 3], 0, None), lambda: kernel.advance(0, 10, None, f, 3),
               lambda: test_replay.dm.glauber_kernel(test_replay._c4(), 3, [0, 1]),
-              lambda: test_replay.dm.mcmc_pro((99, -5), kernel, 0.5, constant, 0.1, 0.1, seed=0)):
+              lambda: test_replay.dm.mcmc_pro((99, -5), kernel, 0.5, constant, 0.1, 0.1, seed=0),
+              lambda: test_replay.dm.static_estimate(8, kernel, 0.5, None, f, 0.1, 0.1, 0),
+              lambda: test_replay.dm.mcmc_pro((0, 4), kernel, 0.5, f, 1e-9, 0.1, seed=0)):
     try:
         check()
-    except ValueError:
-        refused.append(True)
+    except ValueError as exc:
+        refused.append(type(exc).__name__)
     else:
-        refused.append(False)
+        refused.append(None)
 json.dump({"payloads": {name: test_replay.payload(name) for name in sys.argv[1:]}, "refused": refused},
           sys.stdout)
 """
@@ -180,7 +186,8 @@ json.dump({"payloads": {name: test_replay.payload(name) for name in sys.argv[1:]
 def test_payloads_and_state_checks_survive_optimized_mode(recorded):
     # python -O strips asserts: the cycle and counting payloads must replay, and out-of-range
     # states, an improper coloring, steps that are not whole blocks, a vertex set that is not
-    # a union of components and a bad start with a constant f must still be refused
+    # a union of components, a bad start with a constant f, a bad static start and a plan
+    # above the step cap must still be refused
     path = os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, *OPTIMIZED_CASES],
@@ -188,7 +195,7 @@ def test_payloads_and_state_checks_survive_optimized_mode(recorded):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["refused"] == [True] * 9
+    assert out["refused"] == ["ValueError"] * 10 + ["GuardError"]
     for name in OPTIMIZED_CASES:
         assert out["payloads"][name] == recorded[name], name
 
