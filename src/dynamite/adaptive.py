@@ -12,9 +12,9 @@ baseline it is measured against:
   variance; the schedule uses lambda_bound**T, which bounds the blocks.
 * ``dynamite`` picks T = ceil((1+L)/(1-L) ln sqrt 2), which brings the
   relaxation time of the block sequence to at most 2, and runs ``mcmc_pro``.
-* ``warm_start`` starts from an arbitrary supported state, advances the
-  paired chain for a uniform-mixing warm-up, then runs ``dynamite`` with the
-  failure budget tightened to delta/4 as the nonstationarity correction.
+* ``warm_start`` runs that from (start, start) for any supported start, with
+  ``pi_min``: ``mcmc_pro`` then walks a uniform-mixing warm-up first and
+  tightens the failure budget to delta/4 as the nonstationarity correction.
 
 Samples are cumulative: chains are extended across iterations, never
 restarted, so the total cost is the final schedule size, not its sum.  Each
@@ -54,7 +54,7 @@ DEGENERATE_RANGE = "degenerate-range"
 STATIC = "static"
 
 STEP_CAP = 10 ** 9
-"""Most base steps one run may plan (2 T m_I, plus 2 tau warm-up, or tau + m for static).
+"""Most base steps one run may plan (2 T m_I, plus 2 tau warm-up given pi_min, or tau + m for static).
 
 Every cost is known before sampling; a billion steps is minutes of Glauber
 sampling and, at T = 1, 4 GB of ``mcmc_pro`` block means, while the tests and
@@ -66,6 +66,14 @@ def check_steps(planned: int) -> None:
     """Refuse a run that plans more than ``STEP_CAP`` base steps, with a GuardError."""
     if planned > STEP_CAP:
         raise GuardError(f"the run plans {planned:,} base steps, above the cap of {STEP_CAP:,}")
+
+
+def _check_accuracy(epsilon: float, delta: float) -> None:
+    """Refuse a radius that is not positive or a failure budget outside (0, 1), with ValueError."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,10 +104,7 @@ def build_schedule(value_range: float, epsilon: float, lambda_bound: float, delt
     (1 + L) R ln(3I/delta) / ((1 - L) eps) and each bound instance spends
     delta' = delta / 3I of the failure budget.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_accuracy(epsilon, delta)
     checked_lambda(lambda_bound)
     if value_range <= 0:
         raise ValueError("schedule needs a positive range; degenerate functions return immediately")
@@ -173,29 +178,38 @@ def mcmc_pro(
     seed: int,
     *,
     trace_length: int = 1,
+    pi_min: Optional[float] = None,
 ) -> EstimateReport:
     """Progressive paired-chain estimation with a variance-adaptive stopping rule.
 
-    The initial pair must be drawn from the stationary law of the paired chain
-    (``warm_start`` discharges that contract) and ``lambda_bound`` must upper
-    bound the kernel's second absolute eigenvalue.  Each sample is the mean of
-    f over ``trace_length`` consecutive base steps; the blocks form a chain
+    ``lambda_bound`` must upper bound the kernel's second absolute eigenvalue,
+    and with ``pi_min`` None the initial pair must be stationary.  Given
+    ``pi_min``, a lower bound on the least stationary probability, both chains
+    first walk tau = ``uniform_mixing_steps`` warm-up steps on the ``WARMUP``
+    stream (charged as 2 tau; none for a constant f) and the failure budget is
+    delta/4 to absorb the residual nonstationarity.  Each sample is the mean
+    of f over ``trace_length`` consecutive base steps; the blocks form a chain
     whose second absolute eigenvalue is at most lambda_bound**trace_length,
-    and that is the bound the schedule and the radii use.  Returns the running
-    mean at the first iteration whose radius meets ``epsilon``, or at the last
-    scheduled iteration regardless.
+    the bound the schedule and the radii use.  Returns the running mean at the
+    first iteration whose radius meets ``epsilon``, or at the last one.
     """
+    _check_accuracy(epsilon, delta)
     if trace_length < 1:
         raise ValueError(f"trace length must be >= 1, got {trace_length}")
     t = trace_length
     block_lambda = checked_lambda(lambda_bound) ** t
+    tau, delta = (0, delta) if pi_min is None else (uniform_mixing_steps(lambda_bound, pi_min), delta / 4.0)
     state_a, state_b = initial_pair
     kernel.check_start(state_a)  # here too, since a constant f returns before any step
     kernel.check_start(state_b)
     if f.value_range == 0:
         return _degenerate_report(f, seed, epsilon, delta, block_lambda, t)
     schedule = build_schedule(f.value_range, epsilon, block_lambda, delta)
-    check_steps(2 * t * schedule.sizes[-1])
+    check_steps(2 * tau + 2 * t * schedule.sizes[-1])
+    if pi_min is not None:
+        rng_w = stream(seed, WARMUP)
+        state_a, _ = kernel.advance(state_a, tau, rng_w)
+        state_b, _ = kernel.advance(state_b, tau, rng_w)
     rng_a = stream(seed, CHAIN_A)
     rng_b = stream(seed, CHAIN_B)
 
@@ -230,8 +244,8 @@ def mcmc_pro(
     return EstimateReport(
         estimate=last.mean,
         iterations=tuple(records),
-        total_base_steps=2 * last.m * t,
-        warmup_steps=0,
+        total_base_steps=2 * tau + 2 * last.m * t,
+        warmup_steps=2 * tau,
         termination=termination,
         seed=seed,
         epsilon=epsilon,
@@ -290,28 +304,16 @@ def warm_start(
     delta: float,
     seed: int,
 ) -> EstimateReport:
-    """Nonstationary start: warm the paired chain up, then run ``dynamite``.
+    """Nonstationary start: ``dynamite`` from (start, start) after a uniform-mixing warm-up.
 
-    ``pi_min`` must lower bound the minimum stationary probability; after
-    tau_unif = ceil(ln(1/pi_min)/ln(1/Lambda)) paired steps from (start, start)
-    the run proceeds with failure budget delta/4, absorbing the residual
-    nonstationarity.  Warm-up steps are charged to the report, and the
-    warm-up and the whole schedule are checked against ``STEP_CAP`` before
-    the warm-up walks.
+    ``pi_min`` must lower bound the minimum stationary probability.  This is
+    ``mcmc_pro`` with ``dynamite``'s trace length and ``pi_min``, so the
+    warm-up, its charge, its ``STEP_CAP`` check and the delta/4 live there.
     """
     if not (kernel.is_lazy and kernel.is_reversible):
         raise ValueError(f"warm start needs a lazy reversible chain, got {kernel.name!r}")
-    tau_unif = uniform_mixing_steps(lambda_bound, pi_min)
-    t = select_trace_length(lambda_bound)
-    schedule_steps = (2 * t * build_schedule(f.value_range, epsilon, lambda_bound ** t, delta / 4.0).sizes[-1]
-                      if f.value_range else 0)
-    check_steps(2 * tau_unif + schedule_steps)
-    rng_w = stream(seed, WARMUP)
-    x0, _ = kernel.advance(start, tau_unif, rng_w)
-    x1, _ = kernel.advance(start, tau_unif, rng_w)
-    report = dynamite((x0, x1), kernel, lambda_bound, f, epsilon, delta / 4.0, seed)
-    warmup = 2 * tau_unif
-    return dataclasses.replace(report, warmup_steps=warmup, total_base_steps=report.total_base_steps + warmup)
+    return mcmc_pro((start, start), kernel, lambda_bound, f, epsilon, delta, seed,
+                    trace_length=select_trace_length(lambda_bound), pi_min=pi_min)
 
 
 def static_estimate(
@@ -336,6 +338,8 @@ def static_estimate(
     does not grow with m.  The report charges tau + m steps and ends
     ``"static"``, with no schedule and no iterations.
     """
+    _check_accuracy(epsilon, delta)
+    tau = 0 if pi_min is None else uniform_mixing_steps(lambda_bound, pi_min)
     kernel.check_start(start)  # here too, since a constant f returns before any step
     params = ConcentrationParams(lambda_bound=lambda_bound, value_range=f.value_range, delta_prime=delta, m=1)
     report = _degenerate_report(f, seed, epsilon, delta, lambda_bound, 1)
@@ -343,7 +347,6 @@ def static_estimate(
         return report
     m = (hoeffding_sample_complexity(params, epsilon) if variance is None
          else bernstein_sample_complexity(params, variance, epsilon))
-    tau = 0 if pi_min is None else uniform_mixing_steps(lambda_bound, pi_min)
     check_steps(tau + m)
     state, _ = kernel.advance(start, tau, stream(seed, WARMUP))
     rng = stream(seed, CHAIN_A)

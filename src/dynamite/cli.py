@@ -161,7 +161,7 @@ def _stationary_pair(summary, rng):
 
 
 def _run_method(method, kernel, f, lam, summary, epsilon, delta, seed, rng, start=None) -> dict:
-    """One seeded estimate by ``method``, rendered as an EstimateReport payload.
+    """One seeded estimate by ``method`` (a ``CYCLE_METHODS`` entry or "warm-start") as an EstimateReport payload.
 
     ``rng`` draws the stationary start pair; ``start`` is the warm-start state.
     """
@@ -171,11 +171,9 @@ def _run_method(method, kernel, f, lam, summary, epsilon, delta, seed, rng, star
     if method in ("mcmc-pro", "dynamite"):
         fn = mcmc_pro if method == "mcmc-pro" else dynamite
         return fn(_stationary_pair(summary, rng), kernel, lam, f, epsilon, delta, seed).to_json()
-    if method in ("static-hoeffding", "static-bernstein"):
-        variance = summary.stationary_variance if method == "static-bernstein" else None
-        start = _stationary_pair(summary, rng)[0]
-        return static_estimate(start, kernel, lam, None, f, epsilon, delta, seed, variance=variance).to_json()
-    raise ConfigError(f"unknown method {method!r}")
+    variance = summary.stationary_variance if method == "static-bernstein" else None
+    start = _stationary_pair(summary, rng)[0]
+    return static_estimate(start, kernel, lam, None, f, epsilon, delta, seed, variance=variance).to_json()
 
 
 def cmd_estimate(args) -> int:
@@ -267,15 +265,14 @@ def _cycle_problem(n, i, epsilon, delta):
     kernel = make_cycle(n)
     f = make_cycle_function(n, i)
     summary = summarize(kernel, f)
-    return {
-        "kind": "cycle",
-        "kernel": kernel,
-        "f": f,
-        "summary": summary,
-        "epsilon": epsilon,
-        "delta": delta,
-        "tolerance": epsilon,
-    }
+
+    def run(method, batch_seed):
+        out = _run_method(method, kernel, f, summary.second_eigenvalue, summary, epsilon, delta, batch_seed,
+                          stream(batch_seed, REPLICATE))
+        err = abs(out["estimate"] - summary.mean)
+        return out["total_base_steps"], err, err <= epsilon
+
+    return CYCLE_METHODS, run
 
 
 def _planted_problem(seed, epsilon, delta):
@@ -283,45 +280,23 @@ def _planted_problem(seed, epsilon, delta):
     # 1 - 1/(n^2 k) heuristic, whose warm-up grows like n^2 k log(k^n), so n=4 keeps a
     # batch near a second
     params = PlantedParams(n=4, communities=2, within_prob=0.9, cross_mass=0.5)
-    pg = generate(params, seed)
-    k = pg.graph.d_max + 2
-    exact = brute_force_count(pg.graph, k)
-    return {
-        "kind": "count",
-        "graph": pg.graph,
-        "k": k,
-        "exact": exact,
-        "epsilon": epsilon,
-        "delta": delta,
-        "tolerance": 1.2 * epsilon,  # additive-per-phase to relative slack
-    }
+    graph = generate(params, seed).graph
+    k = graph.d_max + 2
+    exact = brute_force_count(graph, k)
 
+    def run(method, batch_seed):
+        result = jvv_count(graph, k, epsilon, delta, estimator=method, seed=batch_seed)
+        rel = abs(math.exp(result.log_count) - exact) / exact
+        return result.total_steps, rel, rel <= 1.2 * epsilon  # additive-per-phase to relative slack
 
-def _bench_cycle_row(problem, method, batch_seed):
-    summary = problem["summary"]
-    started = time.perf_counter()
-    out = _run_method(method, problem["kernel"], problem["f"], summary.second_eigenvalue, summary,
-                      problem["epsilon"], problem["delta"], batch_seed, stream(batch_seed, REPLICATE))
-    err = abs(out["estimate"] - summary.mean)
-    return out["total_base_steps"], err, float(err <= problem["tolerance"]), time.perf_counter() - started
-
-
-def _bench_count_row(problem, method, batch_seed):
-    started = time.perf_counter()
-    result = jvv_count(
-        problem["graph"],
-        problem["k"],
-        problem["epsilon"],
-        problem["delta"],
-        estimator=method,
-        seed=batch_seed,
-    )
-    rel = abs(math.exp(result.log_count) - problem["exact"]) / problem["exact"]
-    return result.total_steps, rel, float(rel <= problem["tolerance"]), time.perf_counter() - started
+    return COUNT_METHODS, run
 
 
 def default_bench_problems(epsilon, delta, seed):
-    """Each problem's name and builder; a problem is built only when it is asked for."""
+    """Each problem's name and builder, called only when the problem is asked for.
+
+    A builder returns ``(methods, run)``; ``run(method, batch_seed)`` gives a row's ``(steps, error, covered)``.
+    """
     return {
         "cycle16-f1": lambda: _cycle_problem(16, 1, epsilon, delta),
         "cycle16-f8": lambda: _cycle_problem(16, 8, epsilon, delta),
@@ -344,16 +319,13 @@ def cmd_bench_compare(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(BENCH_COLUMNS)
     for name in names:
-        problem = catalog[name]()
-        methods = CYCLE_METHODS if problem["kind"] == "cycle" else COUNT_METHODS
+        methods, run = catalog[name]()
         for method in methods:
             for batch in range(args.batches):
-                batch_seed = child_seed(args.seed, REPLICATE, batch)
-                if problem["kind"] == "cycle":
-                    steps, err, cover, wall = _bench_cycle_row(problem, method, batch_seed)
-                else:
-                    steps, err, cover, wall = _bench_count_row(problem, method, batch_seed)
-                writer.writerow([method, name, batch, steps, f"{err:.9f}", f"{cover:.1f}", f"{wall:.4f}"])
+                started = time.perf_counter()
+                steps, err, covered = run(method, child_seed(args.seed, REPLICATE, batch))
+                wall = time.perf_counter() - started
+                writer.writerow([method, name, batch, steps, f"{err:.9f}", f"{covered:.1f}", f"{wall:.4f}"])
     _emit(buf.getvalue(), args.out)
     return 0
 
@@ -382,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="replicated mean estimation")
     add_chain_args(p)
-    p.add_argument("--method", required=True,
-                   choices=["mcmc-pro", "dynamite", "warm-start", "static-hoeffding", "static-bernstein"])
+    p.add_argument("--method", required=True, choices=[*CYCLE_METHODS, "warm-start"])
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--lambda", dest="lambda_bound", default="oracle",
@@ -399,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--estimator", default="dynamite", choices=["dynamite", "static-hoeffding"])
+    p.add_argument("--estimator", default="dynamite", choices=COUNT_METHODS)
     p.add_argument("--lambda", dest="lambda_bound", type=float, default=None,
                    help="bound on the raw chain's second absolute eigenvalue, in [0, 1)")
     p.add_argument("--seed", type=int, default=0)
@@ -418,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-compare", help="method-by-problem benchmark CSV")
     p.add_argument("--problems", default="cycle16-f1,cycle16-f8,planted4-count")
-    p.add_argument("--epsilon", type=float, default=0.02)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float, default=0.02, help="cycle problems only; planted4-count uses 0.25")
+    p.add_argument("--delta", type=float, default=0.1, help="cycle problems only; planted4-count uses 0.25")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batches", type=int, default=20)
     p.add_argument("--out", default=None)

@@ -13,6 +13,9 @@ from dynamite.rng import stream
 
 from _oracles import counting_kernel
 
+CONSTANT = dm.ScalarFunction(lambda xs: np.full(len(xs), 0.7), lo=0.7, hi=0.7, name="const")
+CYCLE8_LAMBDA = math.cos(math.pi / 8) ** 2
+
 
 class TestBuildSchedule:
     def test_hand_fixture(self):
@@ -77,8 +80,7 @@ class TestTraceLengthAndWarmup:
 ])
 def test_bad_lambda_is_refused_on_entry(entry, bound, cycle8, cycle8_f1):
     # checked as given: -0.5 ** 2 would pass as a block bound, and a constant f returns early
-    const = dm.ScalarFunction(lambda xs: np.full(len(xs), 0.7), lo=0.7, hi=0.7, name="const")
-    f = const if entry.endswith("constant") else cycle8_f1
+    f = CONSTANT if entry.endswith("constant") else cycle8_f1
     with pytest.raises(ValueError, match=re.escape(f"lambda bound must lie in [0, 1), got {bound}")):
         if entry == "uniform_mixing_steps":
             dm.uniform_mixing_steps(bound, 1 / 8)
@@ -88,6 +90,26 @@ def test_bad_lambda_is_refused_on_entry(entry, bound, cycle8, cycle8_f1):
             dm.static_estimate(0, cycle8, bound, None, f, 0.05, 0.1, seed=0)
         else:
             dm.mcmc_pro((0, 4), cycle8, bound, f, 0.05, 0.1, seed=0, trace_length=2)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("epsilon", -1.0, "epsilon must be positive, got -1.0"),
+    ("epsilon", math.nan, "epsilon must be positive, got nan"),
+    ("delta", 5.0, "delta must lie in (0, 1), got 5.0"),
+    ("pi_min", 0.0, "pi_min must lie in (0, 1], got 0.0"),
+])
+@pytest.mark.parametrize("entry", ["mcmc_pro", "warm_start", "static_estimate"])
+def test_bad_accuracy_or_pi_min_is_refused_on_entry(entry, name, value, message, cycle8):
+    # a constant f returns before any step, so every argument is checked before that
+    args = {"epsilon": 0.05, "delta": 0.1, "pi_min": 1 / 8, name: value}
+    eps, delta, pi_min = args["epsilon"], args["delta"], args["pi_min"]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if entry == "mcmc_pro":
+            dm.mcmc_pro((0, 4), cycle8, CYCLE8_LAMBDA, CONSTANT, eps, delta, seed=0, pi_min=pi_min)
+        elif entry == "warm_start":
+            dm.warm_start(0, cycle8, CYCLE8_LAMBDA, pi_min, CONSTANT, eps, delta, seed=0)
+        else:
+            dm.static_estimate(0, cycle8, CYCLE8_LAMBDA, pi_min, CONSTANT, eps, delta, seed=0)
 
 
 class TestStepCap:
@@ -286,6 +308,23 @@ class TestWarmStart:
             report = dm.warm_start(1, cycle8, lam, 1 / 8, cycle8_f1, 0.05, 0.1, seed=5000 + rep)
             hits += abs(report.estimate - 0.5) <= 0.05
         assert hits >= 27
+
+    def test_constant_f_walks_no_warmup(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("walked a chain for a constant f")
+
+        monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+        report = dm.warm_start(1, dm.make_cycle(8), CYCLE8_LAMBDA, 1 / 8, CONSTANT, 0.05, 0.1, seed=0)
+        assert report.termination == DEGENERATE_RANGE
+        assert report.total_base_steps == report.warmup_steps == 0
+
+    def test_plans_and_checks_the_run_once(self, monkeypatch, cycle8_f1):
+        calls = []
+        for name in ("build_schedule", "check_steps"):
+            original = getattr(adaptive, name)
+            monkeypatch.setattr(adaptive, name, lambda *a, _name=name, _fn=original: calls.append(_name) or _fn(*a))
+        dm.warm_start(1, dm.make_cycle(8), CYCLE8_LAMBDA, 1 / 8, cycle8_f1, 0.05, 0.1, seed=3)
+        assert calls == ["build_schedule", "check_steps"]
 
     def test_rejects_bad_pi_min(self, cycle8, cycle8_f1):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 import dynamite as dm
 from dynamite.cli import BENCH_COLUMNS, EXIT_CONFIG, EXIT_GUARD, main
-from dynamite.spectral import MATRIX_CAP
+from dynamite.spectral import HORIZON_CAP, MATRIX_CAP
 
 
 def run_cli(args):
@@ -62,6 +62,16 @@ class TestAnalyzeChain:
         assert len(payload["sandwich"]) == 2
         for verdict in payload["sandwich"]:
             assert sorted(verdict) == ["horizon", "lower", "passed", "trace_variance", "upper"]
+
+    @pytest.mark.parametrize("horizon", (HORIZON_CAP + 1, 300_000_000, 10_000_000_000))
+    def test_oversize_horizon_exits_three_before_allocating(self, horizon, capsys):
+        started = time.perf_counter()
+        code = run_cli(["analyze-chain", "--chain", "cycle", "--n", "8", "--fn", "cycle-f", "--i", "1",
+                        "--T", str(horizon)])
+        assert code == EXIT_GUARD
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert f"horizon T capped at {HORIZON_CAP:,}" in err and "Traceback" not in err
 
     def test_malformed_flags_exit_two_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -430,6 +440,26 @@ class TestBenchCompare:
             "--out", str(tmp_path / "bench.csv"),
         ]) == 0
         assert len(summaries) == 1
+
+    def test_default_rows_are_pinned(self, tmp_path):
+        # recorded once; every column but the wall clock must read the same on every later commit
+        out = tmp_path / "bench.csv"
+        assert run_cli(["bench-compare", "--batches", "1", "--seed", "0", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = [",".join(row[:-1]) for row in csv.reader(fh)]
+        assert rows == [
+            "method,problem,batch,steps,mean_abs_error,coverage",
+            "dynamite,cycle16-f1,0,410760,0.000284838,1.0",
+            "mcmc-pro,cycle16-f1,0,394860,0.000101302,1.0",
+            "static-hoeffding,cycle16-f1,0,193032,0.000119151,1.0",
+            "static-bernstein,cycle16-f1,0,232387,0.000122640,1.0",
+            "dynamite,cycle16-f8,0,410760,0.005380271,1.0",
+            "mcmc-pro,cycle16-f8,0,394860,0.003573418,1.0",
+            "static-hoeffding,cycle16-f8,0,193032,0.002450371,1.0",
+            "static-bernstein,cycle16-f8,0,232387,0.005699544,1.0",
+            "dynamite,planted4-count,0,537624,0.001686088,1.0",
+            "static-hoeffding,planted4-count,0,141204,0.000455885,1.0",
+        ]
 
     def test_counting_problem_rows(self, tmp_path):
         out = tmp_path / "bench.csv"
