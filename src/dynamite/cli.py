@@ -147,7 +147,7 @@ def cmd_analyze_chain(args) -> int:
         "function": f.name,
         "spectral": summary.to_json(),
         "profiles": [p.to_json() for p in profiles],
-        "sandwich": [check_sandwich(kernel, f, t, summary=summary).to_json() for t in horizons]
+        "sandwich": [check_sandwich(kernel, f, p, summary=summary).to_json() for p in profiles]
         if kernel.is_lazy and kernel.is_reversible
         else None,
     }

@@ -40,7 +40,6 @@ from .rng import PHASE, child_seed
 from .spectral import MATRIX_CAP
 
 BRUTE_FORCE_CAP = 10 ** 8
-CHUNK = 4096  # path rows the Glauber sampler rebuilds per cumulative sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,12 +163,13 @@ def glauber_kernel(graph: Graph, k: int, vertices: Optional[Sequence[int]] = Non
     ``vertices``.  The generator draws exactly as the whole chain's does;
     a proposal outside ``vertices`` counts as a hold.  None means every vertex.
 
-    The sampler draws every hold, vertex and color of the path up front, then
-    walks only the proposed moves on ``vertices`` in chunks of ``CHUNK``
-    steps, records each accepted move as its proposal index and color change,
-    scatters the changes into the chunk's int16 rows from arrays, and
-    rebuilds the rows by a cumulative sum from the colors at its start.
-    Colors above the int16 range are refused here, before any sampling.
+    The sampler draws every hold, vertex and color of the path up front and
+    walks in Python only the proposals at vertices with a neighbour; a vertex
+    without one takes every color proposed.  Each column of the path is its
+    start color followed by one run per accepted move there: a stable sort
+    by column orders the moves, one ``np.repeat`` fills an int16 block with a
+    row per column, and the path is its transpose.  Colors above the int16
+    range are refused here, before any sampling.
     """
     int16_max = int(np.iinfo(np.int16).max)
     if k > int16_max:
@@ -180,42 +180,42 @@ def glauber_kernel(graph: Graph, k: int, vertices: Optional[Sequence[int]] = Non
         raise ValueError(f"vertices must be distinct ids in 0..{n - 1}, got {vertices}")
     if set(graph.components_of(support)) != set(support):
         raise ValueError(f"vertices must be a union of connected components of the graph, got {vertices}")
+    width = len(support)
     local = np.full(n, -1, dtype=np.intp)  # each vertex's position in a state, -1 off the support
-    local[support] = np.arange(len(support))
+    local[support] = np.arange(width)
     walked = local >= 0
-    induced = Graph(len(support), tuple((local[u], local[v]) for u, v in graph.edges if walked[u]))
-    adjacency = [list(a) for a in induced.adjacency]
+    induced = Graph(width, tuple((local[u], local[v]) for u, v in graph.edges if walked[u]))
+    adjacency = induced.adjacency
+    lonely = np.array([not a for a in adjacency], dtype=bool)
 
     def sample_path(state, steps, rng):
         colors = [int(x) for x in state]
         hold = rng.random(steps) < 0.5
         us = rng.integers(0, n, size=steps)
         cs = rng.integers(1, k + 1, size=steps)
-        live = ~hold & walked[us]
-        out = np.zeros((steps, len(support)), dtype=np.int16)
-        for lo in range(0, steps, CHUNK):
-            hi = min(lo + CHUNK, steps)
-            block = out[lo:hi]
-            block[0] = colors
-            moves = np.flatnonzero(live[lo:hi])
-            proposed_u, proposed_c = local[us[lo:hi][moves]], cs[lo:hi][moves]
-            accepted, changes = [], []  # accepted moves: proposal index, color change
-            for i, u, c in zip(range(len(moves)), proposed_u.tolist(), proposed_c.tolist()):
-                old = colors[u]
-                if old != c:
-                    for w in adjacency[u]:
-                        if colors[w] == c:
-                            break
-                    else:
-                        colors[u] = c
-                        accepted.append(i)
-                        changes.append(c - old)
-            # explicit dtypes: a chunk with no accepted move gives empty lists, and
-            # np.array([]) is float64, which can neither index nor add into int16 rows
-            acc = np.array(accepted, dtype=np.intp)
-            block[moves[acc], proposed_u[acc]] += np.array(changes, dtype=np.int16)
-            np.cumsum(block, axis=0, out=block)
-        return out
+        moves = np.flatnonzero(~hold & walked[us])
+        proposed_u, proposed_c = local[us[moves]], cs[moves]
+        accepted = lonely[proposed_u]  # a vertex with no neighbour takes every proposed color
+        walk = np.flatnonzero(~accepted)
+        flags = bytearray(len(walk))
+        for i, u, c in zip(range(len(walk)), proposed_u[walk].tolist(), proposed_c[walk].tolist()):
+            if colors[u] != c:
+                for w in adjacency[u]:
+                    if colors[w] == c:
+                        break
+                else:
+                    colors[u] = c
+                    flags[i] = 1
+        accepted[walk] = np.frombuffer(flags, dtype=np.bool_)
+        # a start event per column, then the accepted moves in step order: a stable sort by
+        # column keeps each column's events in step order, start first (8/16-bit ids radix-sort)
+        column = np.concatenate((np.arange(width), proposed_u[accepted])).astype(np.min_scalar_type(width - 1))
+        order = np.argsort(column, kind="stable")
+        step = np.concatenate((np.zeros(width, dtype=np.intp), moves[accepted]))
+        color = np.concatenate((np.asarray(state, dtype=np.int16), proposed_c[accepted].astype(np.int16)))
+        begin = column[order].astype(np.intp) * steps + step[order]
+        runs = np.diff(begin, append=width * steps)
+        return np.repeat(color[order], runs).reshape(width, steps).T
 
     def validate(state):
         if not is_proper(induced, state, k):

@@ -163,14 +163,12 @@ def exact_trace_variance(chain, f, T: int, summary: Optional[SpectralSummary] = 
     return VarianceProfile(horizon=T, autocovariances=covs, trace_variance=float(v))
 
 
-def check_sandwich(chain, f, T: int, summary: Optional[SpectralSummary] = None) -> SandwichVerdict:
-    """Check v_pi/T <= v_T <= 2 tau_rel v_pi / T on a lazy reversible chain."""
+def check_sandwich(chain, f, profile: VarianceProfile, summary: Optional[SpectralSummary] = None) -> SandwichVerdict:
+    """Check v_pi/T <= v_T <= 2 tau_rel v_pi / T for ``profile``, f's v_T on a lazy reversible chain."""
     if isinstance(chain, TransitionKernel) and not (chain.is_lazy and chain.is_reversible):
         raise ValueError(f"sandwich bound needs a lazy reversible chain, got {chain.name!r}")
-    m = _as_matrix(chain)
-    vals = _function_values(f, m.shape[0])
-    s = summary if summary is not None else summarize(chain, vals)
-    profile = exact_trace_variance(m, vals, T, summary=s)
+    s = summary if summary is not None else summarize(chain, f)
+    T = profile.horizon
     lower = s.stationary_variance / T
     upper = 2.0 * s.relaxation_time * s.stationary_variance / T
     slack = 1e-10

@@ -55,6 +55,24 @@ class TestBuildSchedule:
         for a, b in zip(s.sizes, s.sizes[1:]):
             assert a < b <= 2 * a + 1
 
+    @given(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.floats(min_value=1e-9, max_value=1.0, exclude_max=True),
+        st.floats(min_value=1e-12, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_no_stop_before_the_fourth_iteration(self, block_lambda, epsilon, delta):
+        """Even with vhat = 0, no iteration i <= 3 meets epsilon: the radius is about c eps / 2^i with c > 8.
+
+        So a run can stop early only when the schedule has I >= 5 iterations,
+        that is when epsilon <= R/64; at the 16-cycle's pinned eps = 0.02
+        (I = 4) every run pays the whole schedule (c10).
+        """
+        s = dm.build_schedule(1.0, epsilon, block_lambda, delta)
+        for m in s.sizes[:3]:
+            params = dm.ConcentrationParams(block_lambda, 1.0, s.delta_prime, m)
+            assert dm.bernstein_radius(dm.variance_upper_bound(0.0, params), params) > epsilon
+
 
 class TestTraceLengthAndWarmup:
     def test_trace_length_fixtures(self):

@@ -63,6 +63,33 @@ class TestAnalyzeChain:
         for verdict in payload["sandwich"]:
             assert sorted(verdict) == ["horizon", "lower", "passed", "trace_variance", "upper"]
 
+    def test_each_profile_is_computed_once(self, tmp_path, monkeypatch):
+        import dynamite.cli as cli_mod
+        import dynamite.spectral as spectral_mod
+
+        calls, real = [], spectral_mod.exact_trace_variance
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral_mod, "exact_trace_variance", counting)
+        monkeypatch.setattr(cli_mod, "exact_trace_variance", counting)
+        out = tmp_path / "analysis.json"
+        assert run_cli(["analyze-chain", "--chain", "cycle", "--n", "8", "--fn", "cycle-f", "--i", "1",
+                        "--T", "4", "--T", "8", "--out", str(out)]) == 0
+        assert calls == [4, 8]
+        kernel, f = dm.make_cycle(8), dm.make_cycle_function(8, 1)
+        summary = dm.summarize(kernel, f)
+        profiles = [real(kernel, f, t, summary=summary) for t in (4, 8)]
+        assert read_json(out) == {
+            "chain": kernel.name,
+            "function": f.name,
+            "spectral": summary.to_json(),
+            "profiles": [p.to_json() for p in profiles],
+            "sandwich": [dm.check_sandwich(kernel, f, p, summary=summary).to_json() for p in profiles],
+        }
+
     @pytest.mark.parametrize("horizon", (HORIZON_CAP + 1, 300_000_000, 10_000_000_000))
     def test_oversize_horizon_exits_three_before_allocating(self, horizon, capsys):
         started = time.perf_counter()

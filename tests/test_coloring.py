@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import dynamite as dm
 from _oracles import reference_glauber_path, reference_peel
 from dynamite.coloring import (
-    CHUNK,
     _jerrum_last_edge,
     coloring_lambda,
     coloring_space_size,
@@ -27,7 +26,7 @@ PATH3 = dm.Graph(3, ((0, 1), (1, 2)))
 C4 = dm.Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
 TWO_TRIANGLES = dm.Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
 EDGE = dm.Graph(2, ((0, 1),))
-PATH_LENGTHS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)  # around the sampler's chunk boundaries
+PATH_LENGTHS = (0, 1, 4095, 4096, 4097, 12293)  # short, and long enough for many moves per vertex
 
 
 @st.composite
@@ -39,6 +38,22 @@ def small_graphs(draw, max_n=7):
 
 def no_sampling(*args, **kwargs):
     raise AssertionError("sampled before the guard")
+
+
+def replayed_path(graph, k, steps, seed, vertices=None):
+    """(start, path) of the sampler on ``vertices`` (None: all), checked against the per-step loop.
+
+    The path must be the loop's on those columns, and both generators must end in the same place.
+    """
+    start = dm.greedy_coloring(graph, k)
+    columns = list(range(graph.n)) if vertices is None else vertices
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = reference_glauber_path(graph, k, start, steps, ref_rng)[:, columns]
+    path = dm.glauber_kernel(graph, k, vertices).path(start[columns], steps, rng)
+    assert path.dtype == expected.dtype and path.shape == expected.shape
+    assert np.array_equal(path, expected)
+    assert rng.random() == ref_rng.random()
+    return start[columns], path
 
 
 class TestGraph:
@@ -117,26 +132,27 @@ class TestGlauberStep:
     @given(small_graphs(), st.integers(0, 3), st.sampled_from(PATH_LENGTHS), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_path_replays_the_per_step_loop(self, graph, extra, steps, seed):
-        k = graph.degeneracy() + 1 + extra
-        start = dm.greedy_coloring(graph, k)
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = reference_glauber_path(graph, k, start, steps, ref_rng)
-        path = dm.glauber_kernel(graph, k).path(start, steps, rng)
-        assert path.dtype == expected.dtype and path.shape == expected.shape
-        assert np.array_equal(path, expected)
-        assert rng.random() == ref_rng.random()
+        replayed_path(graph, graph.degeneracy() + 1 + extra, steps, seed)
 
     @pytest.mark.parametrize("graph, k", [(dm.Graph(1, ()), 1), (EDGE, 2)])
     @pytest.mark.parametrize("steps", PATH_LENGTHS)
     def test_frozen_chain_replays_the_per_step_loop(self, graph, k, steps):
-        # every proposal is rejected here, so no chunk has an accepted move to scatter
-        start = dm.greedy_coloring(graph, k)
-        ref_rng, rng = np.random.default_rng(steps), np.random.default_rng(steps)
-        expected = reference_glauber_path(graph, k, start, steps, ref_rng)
-        path = dm.glauber_kernel(graph, k).path(start, steps, rng)
-        assert path.dtype == expected.dtype and path.shape == expected.shape
-        assert np.array_equal(path, expected) and np.all(path == start)
-        assert rng.random() == ref_rng.random()
+        # no proposal changes a color here, so every column is one run of its start color
+        start, path = replayed_path(graph, k, steps, seed=steps)
+        assert np.all(path == start)
+
+    @pytest.mark.parametrize("graph, vertices", [
+        (dm.Graph(4, ()), None),  # no vertex has a neighbour, so Python walks no proposal
+        (dm.Graph(5, ((1, 3),)), [4, 1, 3]),  # the first column has no neighbour, the others do
+    ])
+    @pytest.mark.parametrize("steps", PATH_LENGTHS)
+    def test_vertices_without_neighbours_replay_the_per_step_loop(self, graph, vertices, steps):
+        replayed_path(graph, 3, steps, seed=steps, vertices=vertices)
+
+    @pytest.mark.parametrize("seed, moved", [(0, 1), (17, 2)])  # vertex 1 has a neighbour, vertex 2 has none
+    def test_accepted_move_at_step_zero(self, seed, moved):
+        start, path = replayed_path(dm.Graph(3, ((0, 1),)), 3, 4097, seed)
+        assert np.flatnonzero(path[0] != start).tolist() == [moved]
 
     @given(small_graphs(), st.integers(0, 2), st.sampled_from(PATH_LENGTHS), st.integers(0, 2 ** 32 - 1), st.data())
     @settings(max_examples=60, deadline=None)

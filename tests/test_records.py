@@ -32,7 +32,8 @@ def test_every_result_record_renders_exactly_its_fields():
     records = [
         dm.mcmc_pro((0, 4), dm.make_cycle(8), 0.9, dm.make_cycle_function(8, 1), 0.2, 0.1, seed=8),
         dm.summarize(dm.make_cycle(4), dm.make_cycle_function(4, 1)),
-        dm.check_sandwich(dm.make_cycle(4), dm.make_cycle_function(4, 1), 3),
+        dm.check_sandwich(dm.make_cycle(4), dm.make_cycle_function(4, 1),
+                          dm.exact_trace_variance(dm.make_cycle(4), dm.make_cycle_function(4, 1), 3)),
         dm.Graph(3, ((0, 1),)),
     ]
     for record in records:

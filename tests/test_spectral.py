@@ -131,22 +131,23 @@ class TestExactTraceVariance:
 class TestSandwich:
     def test_rank_one_lower_bound_tight(self):
         f = np.array([0.0, 1.0])
-        verdict = dm.check_sandwich(RANK_ONE, f, 8)
+        verdict = dm.check_sandwich(RANK_ONE, f, dm.exact_trace_variance(RANK_ONE, f, 8))
         assert verdict.passed
         assert verdict.trace_variance == pytest.approx(verdict.lower, abs=1e-13)
 
     def test_cycle8_easy_and_hard_functions(self):
         kernel = dm.make_cycle(8)
-        easy = dm.check_sandwich(kernel, dm.make_cycle_function(8, 1), 64)
-        hard = dm.check_sandwich(kernel, dm.make_cycle_function(8, 4), 64)
+        easy, hard = (dm.check_sandwich(kernel, f, dm.exact_trace_variance(kernel, f, 64))
+                      for f in (dm.make_cycle_function(8, 1), dm.make_cycle_function(8, 4)))
         assert easy.passed and hard.passed
         # the widest block sits near the top of the sandwich, the parity one at the bottom
         assert hard.trace_variance > 9 * easy.trace_variance
 
     def test_rejects_nonlazy_kernel(self):
         skewed = dm.matrix_kernel(RANK_ONE, "skew", is_reversible=True)
+        f = np.array([0.0, 1.0])
         with pytest.raises(ValueError, match="lazy"):
-            dm.check_sandwich(skewed, np.array([0.0, 1.0]), 4)
+            dm.check_sandwich(skewed, f, dm.exact_trace_variance(skewed, f, 4))
 
 
 class TestMonotoneCumulativeVariance:
