@@ -224,7 +224,7 @@ def mcmc_pro(
         state_b, means_b[previous:m_i] = kernel.advance(state_b, steps, rng_b, f, t)
         previous = m_i
 
-        paired = PairedEvaluations(means_a[:m_i], means_b[:m_i], stream_a=CHAIN_A, stream_b=CHAIN_B)
+        paired = PairedEvaluations(means_a[:m_i], means_b[:m_i])
         params = ConcentrationParams(
             lambda_bound=block_lambda,
             value_range=f.value_range,

@@ -2,11 +2,12 @@
 
 Every kernel has exactly one sampler, a path sampler ``(start, k, rng) -> k
 states``.  Estimators consume a chain only through ``TransitionKernel.advance``,
-which walks it in pieces of at most ``CHUNK`` steps and returns the last state
-and the means of f over consecutive blocks.  Small chains (cycles, enumerated
-Glauber kernels) also carry an explicit row-stochastic matrix so the dense
-spectral oracle can analyse them; the samplers never require it.  Every
-function on states has exactly one evaluator, the vectorised ``batch``.
+which walks it with one ``path`` call per span of whole blocks (at most
+max(``CHUNK``, block) steps) and returns the last state and the means of f
+over consecutive blocks.  Small chains (cycles, enumerated Glauber kernels)
+also carry an explicit row-stochastic matrix so the dense spectral oracle can
+analyse them; the samplers never require it.  Every function on states has
+exactly one evaluator, the vectorised ``batch``.
 
 A kernel carries no eigenvalue bound: the bound is a claim about the chain
 that the caller makes, and every estimator takes it as an argument.
@@ -19,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
-CHUNK = 1 << 14  # most steps ``TransitionKernel.advance`` asks ``path`` for per call
+CHUNK = 1 << 14  # most steps ``TransitionKernel.advance`` asks ``path`` for per call, or one block if longer
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,29 +88,25 @@ class TransitionKernel:
         """Run ``steps`` steps from ``state``: (last state, means of f over the length-``block`` blocks).
 
         The start is checked first; with no steps it comes back as given, and
-        without ``f`` the means are None.  ``path`` is asked for at most
-        ``CHUNK`` steps per call, whole blocks when ``block <= CHUNK``, so at
-        most max(CHUNK, block) values of f exist at once.  Each mean is taken
-        over one contiguous row, so the means are bit for bit those of one
-        whole path ``p``, ``f.values(p).reshape(-1, block).mean(axis=1)``.
+        without ``f`` the means are None.  The walk is one ``path`` call per
+        span of whole blocks, as many as fit in ``CHUNK`` steps and at least
+        one, so at most max(CHUNK, block) states exist at once.  Each mean is
+        taken over one contiguous row, so the means are bit for bit those of
+        one whole path ``p``, ``f.values(p).reshape(-1, block).mean(axis=1)``.
+        When ``block > CHUNK`` each call is one block: the cycle and matrix
+        samplers draw per step, so their paths are still those of one whole
+        walk, but a Glauber kernel would group its draws per block.
         """
         if block < 1 or steps < 0 or steps % block:
             raise ValueError(f"kernel {self.name!r}: {steps} steps are not whole blocks of {block}")
         self.check_start(state)
         means = None if f is None else np.empty(steps // block)
-        span = max(1, CHUNK // block) * block  # whole blocks whose values are held at once
+        span = max(1, CHUNK // block) * block
         for lo in range(0, steps, span):
-            hi = min(lo + span, steps)
-            values = np.empty(hi - lo) if f is not None and hi - lo > CHUNK else None
-            for mid in range(lo, hi, CHUNK):
-                path = self.path(state, min(CHUNK, hi - mid), rng)
-                state = path[-1]
-                if values is not None:
-                    values[mid - lo:mid - lo + len(path)] = f.values(path)
-                elif f is not None:  # the span is this one path
-                    values = f.values(path)
+            path = self.path(state, min(span, steps - lo), rng)
+            state = path[-1]
             if f is not None:
-                means[lo // block:hi // block] = values.reshape(-1, block).mean(axis=1)
+                means[lo // block:(lo + span) // block] = f.values(path).reshape(-1, block).mean(axis=1)
         return state, means
 
 
@@ -199,10 +196,10 @@ def make_cycle(n: int) -> TransitionKernel:
 
     The sampler draws one integer in 0..3 per step (0 steps back, 3 forward,
     1 and 2 hold), maps the draws to steps, sums them cumulatively in int32
-    from the start, and reduces the path mod n.  ``advance`` asks for at most
-    ``CHUNK`` steps at a time; drawing the integers piece by piece consumes
-    the generator exactly as one whole draw does, so the path and the
-    generator's next draw match one whole walk.
+    from the start, and reduces the path mod n.  ``advance`` asks for the
+    path in spans; drawing the integers piece by piece consumes the generator
+    exactly as one whole draw does, so the path and the generator's next draw
+    match one whole walk.
     """
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -23,24 +22,21 @@ SQRT21 = math.sqrt(21.0)
 
 @dataclasses.dataclass(frozen=True)
 class PairedEvaluations:
-    """f evaluated along two independent equal-length traces.
+    """f evaluated along two independent equal-length traces, non-empty.
 
-    Independence of the two streams is the caller's contract; when stream
-    identifiers are supplied they must differ.
+    Independence of the two traces is the caller's contract.
     """
 
     first: np.ndarray
     second: np.ndarray
-    stream_a: Optional[int] = None
-    stream_b: Optional[int] = None
 
     def __post_init__(self):
         a = np.asarray(self.first, dtype=float)
         b = np.asarray(self.second, dtype=float)
         if a.shape != b.shape or a.ndim != 1:
             raise ValueError(f"paired evaluations need equal-length vectors, got {a.shape} and {b.shape}")
-        if self.stream_a is not None and self.stream_a == self.stream_b:
-            raise ValueError("paired traces must come from distinct streams")
+        if a.size == 0:
+            raise ValueError("paired evaluations need at least one pair")
         object.__setattr__(self, "first", a)
         object.__setattr__(self, "second", b)
 
@@ -85,15 +81,11 @@ class ConcentrationParams:
 
 def empirical_mean(paired: PairedEvaluations) -> float:
     """Mean over both chains: (1/2m) sum (f + f)."""
-    if paired.m == 0:
-        raise ValueError("cannot average an empty sample")
     return float((paired.first.sum() + paired.second.sum()) / (2 * paired.m))
 
 
 def two_chain_variance(paired: PairedEvaluations) -> float:
     """Unbiased variance estimate (1/2m) sum (f - f)^2 from the paired traces."""
-    if paired.m == 0:
-        raise ValueError("cannot estimate variance from an empty sample")
     diff = paired.first - paired.second
     return float(diff @ diff / (2 * paired.m))
 

@@ -24,6 +24,9 @@ MATRIX_CAP = 4096
 HORIZON_CAP = 10 ** 6
 """Largest horizon ``exact_trace_variance`` takes: it runs one vector-matrix product per lag in
 Python and stores T - 1 autocovariances, ~3 s and 8 MB at 10^6 on the 8-cycle (tests use <= 256)."""
+WORK_CAP = 10 ** 10
+"""Largest T * n^2 ``exact_trace_variance`` takes for an n-state chain: each lag is one n x n
+vector-matrix product, ~2-4 s in all at the cap for n from 512 to 4096 (2-vCPU VM)."""
 _UNIT_TOL = 1e-9
 
 
@@ -148,7 +151,10 @@ def exact_trace_variance(chain, f, T: int, summary: Optional[SpectralSummary] = 
     if T > HORIZON_CAP:
         raise GuardError(f"horizon T capped at {HORIZON_CAP:,}, got {T:,}")
     m = _as_matrix(chain)
-    vals = _function_values(f, m.shape[0])
+    n = m.shape[0]
+    if T * n * n > WORK_CAP:
+        raise GuardError(f"horizon work T * n^2 capped at {WORK_CAP:,}, got {T:,} * {n}^2 = {T * n * n:,}")
+    vals = _function_values(f, n)
     s = summary if summary is not None else summarize(chain, vals)
     centered = vals - s.mean
     weighted = s.stationary * centered  # one step of m per lag: C_i = weighted @ m^i @ centered

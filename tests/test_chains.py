@@ -73,7 +73,7 @@ def _glauber_input(rng):
 
 
 class TestAdvance:
-    """``advance`` walks in pieces of at most CHUNK steps and averages each block on one row."""
+    """``advance`` walks in spans of whole blocks and averages each block on one row."""
 
     @pytest.mark.parametrize("t", (1, 18, 42, CHUNK - 1, CHUNK + 1))
     @pytest.mark.parametrize("make", (_cycle_input, _glauber_input))
@@ -85,11 +85,23 @@ class TestAdvance:
             for f in functions:
                 recording, pieces = _recording(kernel)
                 last, means = recording.advance(start, blocks * t, rng, f, t)
-                assert all(len(p) <= CHUNK and (t > CHUNK or len(p) % t == 0) for p in pieces)
+                assert all(len(p) % t == 0 and len(p) <= max(CHUNK, t) for p in pieces)
                 path = np.concatenate(pieces)
                 assert np.array_equal(last, path[-1])
                 expected = f.values(path).reshape(blocks, t).mean(axis=1)
                 assert means.tobytes() == expected.tobytes(), (f.name, t, blocks)
+
+    def test_blocks_longer_than_chunk_match_one_whole_path(self):
+        t = CHUNK + 1
+        for seed in (0, 1):
+            kernel, start, functions = _cycle_input(np.random.default_rng(seed))
+            for f in functions:
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                last, means = kernel.advance(start, 3 * t, rng_a, f, t)
+                path = kernel.path(start, 3 * t, rng_b)
+                assert means.tobytes() == f.values(path).reshape(3, t).mean(axis=1).tobytes(), f.name
+                assert last == path[-1]
+                assert rng_a.random() == rng_b.random()
 
     def test_range_is_checked_in_the_last_piece(self):
         t = 18

@@ -8,7 +8,7 @@ import pytest
 
 import dynamite as dm
 from dynamite.cli import BENCH_COLUMNS, EXIT_CONFIG, EXIT_GUARD, main
-from dynamite.spectral import HORIZON_CAP, MATRIX_CAP
+from dynamite.spectral import HORIZON_CAP, MATRIX_CAP, WORK_CAP
 
 
 def run_cli(args):
@@ -99,6 +99,15 @@ class TestAnalyzeChain:
         assert time.perf_counter() - started < 1.0
         err = capsys.readouterr().err
         assert f"horizon T capped at {HORIZON_CAP:,}" in err and "Traceback" not in err
+
+    def test_oversize_work_exits_three_before_any_product(self, capsys):
+        started = time.perf_counter()
+        code = run_cli(["analyze-chain", "--chain", "cycle", "--n", "512", "--fn", "cycle-f", "--i", "1",
+                        "--T", "100000"])
+        assert code == EXIT_GUARD
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert f"capped at {WORK_CAP:,}" in err and "Traceback" not in err
 
     def test_malformed_flags_exit_two_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

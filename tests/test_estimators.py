@@ -27,9 +27,9 @@ class TestPairedEvaluations:
         with pytest.raises(ValueError, match="equal-length"):
             paired([0.0, 1.0], [1.0])
 
-    def test_rejects_identical_streams(self):
-        with pytest.raises(ValueError, match="distinct streams"):
-            dm.PairedEvaluations(np.zeros(2), np.zeros(2), stream_a=7, stream_b=7)
+    def test_rejects_an_empty_pair_at_construction(self):
+        with pytest.raises(ValueError, match="at least one pair"):
+            dm.PairedEvaluations([], [])
 
 
 class TestEmpiricalMean:
