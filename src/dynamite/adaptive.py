@@ -128,44 +128,36 @@ class IterationRecord(Record):
     radius: float
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class EstimateReport(Record):
     """Full audit trail of one adaptive run.
 
     ``total_base_steps`` counts both paired chains, T base steps for every
     block sample, plus any warm-up steps.  ``lambda_bound`` is the bound the
-    schedule used: the caller's bound raised to the trace length T.
+    schedule used: the caller's bound raised to the trace length T.  The
+    defaults of the fields a run fills in make the degenerate report: no
+    iterations, no steps, no schedule and termination ``degenerate-range``.
     """
 
     estimate: float
-    iterations: tuple
-    total_base_steps: int
-    warmup_steps: int
-    termination: str
+    iterations: tuple = ()
+    total_base_steps: int = 0
+    warmup_steps: int = 0
+    termination: str = DEGENERATE_RANGE
     seed: int
     epsilon: float
     delta: float
     lambda_bound: float
     trace_length: int
     function_range: tuple
-    schedule: Optional[Schedule]
+    schedule: Optional[Schedule] = None
 
 
-def _degenerate_report(f, seed, epsilon, delta, lambda_bound, trace_length):
-    return EstimateReport(
-        estimate=float(f.lo),
-        iterations=(),
-        total_base_steps=0,
-        warmup_steps=0,
-        termination=DEGENERATE_RANGE,
-        seed=seed,
-        epsilon=epsilon,
-        delta=delta,
-        lambda_bound=lambda_bound,
-        trace_length=trace_length,
-        function_range=(f.lo, f.hi),
-        schedule=None,
-    )
+def _report(f, seed, epsilon, delta, lambda_bound, trace_length, estimate=None, **run) -> EstimateReport:
+    """The report echoing a run's inputs; with no ``run`` fields (and estimate f.lo) the degenerate one."""
+    return EstimateReport(estimate=float(f.lo) if estimate is None else estimate, seed=seed, epsilon=epsilon,
+                          delta=delta, lambda_bound=lambda_bound, trace_length=trace_length,
+                          function_range=(f.lo, f.hi), **run)
 
 
 def mcmc_pro(
@@ -203,7 +195,7 @@ def mcmc_pro(
     kernel.check_start(state_a)  # here too, since a constant f returns before any step
     kernel.check_start(state_b)
     if f.value_range == 0:
-        return _degenerate_report(f, seed, epsilon, delta, block_lambda, t)
+        return _report(f, seed, epsilon, delta, block_lambda, t)
     schedule = build_schedule(f.value_range, epsilon, block_lambda, delta)
     check_steps(2 * tau + 2 * t * schedule.sizes[-1])
     if pi_min is not None:
@@ -241,20 +233,9 @@ def mcmc_pro(
             break
 
     last = records[-1]
-    return EstimateReport(
-        estimate=last.mean,
-        iterations=tuple(records),
-        total_base_steps=2 * tau + 2 * last.m * t,
-        warmup_steps=2 * tau,
-        termination=termination,
-        seed=seed,
-        epsilon=epsilon,
-        delta=delta,
-        lambda_bound=block_lambda,
-        trace_length=t,
-        function_range=(f.lo, f.hi),
-        schedule=schedule,
-    )
+    return _report(f, seed, epsilon, delta, block_lambda, t, last.mean, iterations=tuple(records),
+                   total_base_steps=2 * tau + 2 * last.m * t, warmup_steps=2 * tau, termination=termination,
+                   schedule=schedule)
 
 
 def select_trace_length(lambda_bound: float) -> int:
@@ -342,9 +323,8 @@ def static_estimate(
     tau = 0 if pi_min is None else uniform_mixing_steps(lambda_bound, pi_min)
     kernel.check_start(start)  # here too, since a constant f returns before any step
     params = ConcentrationParams(lambda_bound=lambda_bound, value_range=f.value_range, delta_prime=delta, m=1)
-    report = _degenerate_report(f, seed, epsilon, delta, lambda_bound, 1)
     if f.value_range == 0:
-        return report
+        return _report(f, seed, epsilon, delta, lambda_bound, 1)
     m = (hoeffding_sample_complexity(params, epsilon) if variance is None
          else bernstein_sample_complexity(params, variance, epsilon))
     check_steps(tau + m)
@@ -354,5 +334,5 @@ def static_estimate(
     for done in range(0, m, CHUNK):
         state, values = kernel.advance(state, min(CHUNK, m - done), rng, f)
         total += float(values.sum())
-    return dataclasses.replace(report, estimate=total / m, total_base_steps=tau + m, warmup_steps=tau,
-                               termination=STATIC)
+    return _report(f, seed, epsilon, delta, lambda_bound, 1, total / m, total_base_steps=tau + m,
+                   warmup_steps=tau, termination=STATIC)

@@ -50,7 +50,7 @@ from .errors import GuardError, StatisticalFailure
 from .estimators import checked_lambda
 from .planted import PlantedParams, cut_set, generate
 from .rng import REPLICATE, child_seed, stream
-from .spectral import MATRIX_CAP, check_sandwich, exact_trace_variance, summarize
+from .spectral import MATRIX_CAP, check_horizon, check_sandwich, exact_trace_variance, summarize
 
 OUT_DIR_ENV = "DYNAMITE_OUT_DIR"
 
@@ -139,8 +139,10 @@ def _lambda_for(args, summary):
 def cmd_analyze_chain(args) -> int:
     kernel = _build_chain(args)
     f = _build_function(args, kernel)
-    summary = summarize(kernel, f)
     horizons = sorted(set(args.T or [1]))
+    for t in horizons:  # every cap before the O(n^3) eigensolve
+        check_horizon(kernel.n_states, t)
+    summary = summarize(kernel, f)
     profiles = [exact_trace_variance(kernel, f, t, summary=summary) for t in horizons]
     payload = {
         "chain": kernel.name,

@@ -144,16 +144,21 @@ def summarize(chain, f) -> SpectralSummary:
     )
 
 
-def exact_trace_variance(chain, f, T: int, summary: Optional[SpectralSummary] = None) -> VarianceProfile:
-    """Closed-form inter-trace variance from the stationary autocovariances C_i."""
+def check_horizon(n: int, T: int) -> None:
+    """Refuse a horizon below 1 (ValueError), above ``HORIZON_CAP`` or with T n^2 above ``WORK_CAP`` (GuardError)."""
     if T < 1:
         raise ValueError(f"horizon T must be >= 1, got {T}")
     if T > HORIZON_CAP:
         raise GuardError(f"horizon T capped at {HORIZON_CAP:,}, got {T:,}")
-    m = _as_matrix(chain)
-    n = m.shape[0]
     if T * n * n > WORK_CAP:
         raise GuardError(f"horizon work T * n^2 capped at {WORK_CAP:,}, got {T:,} * {n}^2 = {T * n * n:,}")
+
+
+def exact_trace_variance(chain, f, T: int, summary: Optional[SpectralSummary] = None) -> VarianceProfile:
+    """Closed-form inter-trace variance from the stationary autocovariances C_i."""
+    m = _as_matrix(chain)
+    n = m.shape[0]
+    check_horizon(n, T)
     vals = _function_values(f, n)
     s = summary if summary is not None else summarize(chain, vals)
     centered = vals - s.mean

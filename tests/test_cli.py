@@ -109,6 +109,21 @@ class TestAnalyzeChain:
         err = capsys.readouterr().err
         assert f"capped at {WORK_CAP:,}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("n, horizon, exit_code", ((2048, 100_000, EXIT_GUARD), (8, 0, EXIT_CONFIG)))
+    def test_horizons_are_refused_before_the_eigensolve(self, n, horizon, exit_code, monkeypatch, capsys):
+        import dynamite.cli as cli_mod
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("summarize ran before the horizon checks")
+
+        monkeypatch.setattr(cli_mod, "summarize", no_eigensolve)
+        started = time.perf_counter()
+        code = run_cli(["analyze-chain", "--chain", "cycle", "--n", str(n), "--fn", "cycle-f", "--i", "1",
+                        "--T", "1", "--T", str(horizon)])
+        assert code == exit_code
+        assert time.perf_counter() - started < 1.0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_malformed_flags_exit_two_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["analyze-chain", "--chain", "cycle", "--n", "8"])

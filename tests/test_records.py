@@ -29,8 +29,13 @@ def test_fields_render_recursively_as_plain_python():
 
 
 def test_every_result_record_renders_exactly_its_fields():
+    cycle, f = dm.make_cycle(8), dm.make_cycle_function(8, 1)
+    constant = dm.ScalarFunction(lambda xs: [0.5] * len(xs), lo=0.5, hi=0.5)
     records = [
-        dm.mcmc_pro((0, 4), dm.make_cycle(8), 0.9, dm.make_cycle_function(8, 1), 0.2, 0.1, seed=8),
+        dm.mcmc_pro((0, 4), cycle, 0.9, f, 0.2, 0.1, seed=8),
+        dm.mcmc_pro((0, 4), cycle, 0.9, constant, 0.2, 0.1, seed=8),
+        dm.static_estimate(0, cycle, 0.9, None, f, 0.2, 0.1, 8),
+        dm.static_estimate(0, cycle, 0.9, None, constant, 0.2, 0.1, 8),
         dm.summarize(dm.make_cycle(4), dm.make_cycle_function(4, 1)),
         dm.check_sandwich(dm.make_cycle(4), dm.make_cycle_function(4, 1),
                           dm.exact_trace_variance(dm.make_cycle(4), dm.make_cycle_function(4, 1), 3)),

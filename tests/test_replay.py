@@ -173,7 +173,8 @@ for check in (lambda: f(8), lambda: f.values([0, -1]), lambda: kernel.check_star
               lambda: test_replay.dm.static_estimate(8, kernel, 0.5, None, f, 0.1, 0.1, 0),
               lambda: test_replay.dm.mcmc_pro((0, 4), kernel, 0.5, constant, -1.0, 0.1, seed=0),
               lambda: test_replay.dm.static_estimate(0, kernel, 0.5, 0.0, constant, 0.1, 0.1, 0),
-              lambda: test_replay.dm.mcmc_pro((0, 4), kernel, 0.5, f, 1e-9, 0.1, seed=0)):
+              lambda: test_replay.dm.mcmc_pro((0, 4), kernel, 0.5, f, 1e-9, 0.1, seed=0),
+              lambda: test_replay.dm.spectral.check_horizon(512, 10 ** 5)):
     try:
         check()
     except ValueError as exc:
@@ -189,7 +190,8 @@ def test_payloads_and_state_checks_survive_optimized_mode(recorded):
     # python -O strips asserts: the cycle and counting payloads must replay, and out-of-range
     # states, an improper coloring, steps that are not whole blocks, a vertex set that is not
     # a union of components, a bad start with a constant f, a bad static start, a negative
-    # epsilon or a zero pi_min beside a constant f, and a plan above the step cap must still be refused
+    # epsilon or a zero pi_min beside a constant f, a plan above the step cap and a horizon above
+    # the work cap must still be refused
     path = os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, *OPTIMIZED_CASES],
@@ -197,7 +199,7 @@ def test_payloads_and_state_checks_survive_optimized_mode(recorded):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["refused"] == ["ValueError"] * 12 + ["GuardError"]
+    assert out["refused"] == ["ValueError"] * 12 + ["GuardError"] * 2
     for name in OPTIMIZED_CASES:
         assert out["payloads"][name] == recorded[name], name
 
