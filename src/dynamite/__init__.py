@@ -42,7 +42,6 @@ from .coloring import (
 )
 from .errors import GuardError, NotErgodicError, StatisticalFailure
 from .estimators import (
-    ConcentrationParams,
     PairedEvaluations,
     bernstein_radius,
     bernstein_sample_complexity,

@@ -16,10 +16,11 @@ baseline it is measured against:
   ``pi_min``: ``mcmc_pro`` then walks a uniform-mixing warm-up first and
   tightens the failure budget to delta/4 as the nonstationarity correction.
 
-Samples are cumulative: chains are extended across iterations, never
-restarted, so the total cost is the final schedule size, not its sum.  Each
-iteration walks both chains on by ``TransitionKernel.advance``, which returns
-the new block means, and the warm-up walks them by it for their last states.
+Each run walks a ``Plan`` that ``plan_mcmc_pro`` or ``plan_static`` sizes
+before its first step.  Samples are cumulative: chains are extended across
+iterations, never restarted, so the total cost is the final schedule size.
+Each iteration walks both chains on by ``TransitionKernel.advance``, which
+returns the new block means; the warm-up walks them by it for their last states.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ import numpy as np
 from .chains import CHUNK, ScalarFunction, TransitionKernel
 from .errors import GuardError
 from .estimators import (
-    ConcentrationParams,
     PairedEvaluations,
     bernstein_radius,
     bernstein_sample_complexity,
@@ -54,18 +54,18 @@ DEGENERATE_RANGE = "degenerate-range"
 STATIC = "static"
 
 STEP_CAP = 10 ** 9
-"""Most base steps one run may plan (2 T m_I, plus 2 tau warm-up given pi_min, or tau + m for static).
+"""Most base steps one run or one count may plan.
 
-Every cost is known before sampling; a billion steps is minutes of Glauber
-sampling and, at T = 1, 4 GB of ``mcmc_pro`` block means, while the tests and
-the benchmark plan at most ~7.1e6.  Above it a request is refused, not run.
+A run plans ``Plan.steps``, a count its phases' sum, before any step.  A
+billion steps is minutes of Glauber sampling and, at T = 1, 4 GB of block
+means, while the tests and the benchmark plan at most ~7.1e6 (a run).
 """
 
 
-def check_steps(planned: int) -> None:
-    """Refuse a run that plans more than ``STEP_CAP`` base steps, with a GuardError."""
+def check_steps(planned: int, what: str = "run") -> None:
+    """Refuse a run (or ``what``) that plans more than ``STEP_CAP`` base steps, with a GuardError."""
     if planned > STEP_CAP:
-        raise GuardError(f"the run plans {planned:,} base steps, above the cap of {STEP_CAP:,}")
+        raise GuardError(f"the {what} plans {planned:,} base steps, above the cap of {STEP_CAP:,}")
 
 
 def _check_accuracy(epsilon: float, delta: float) -> None:
@@ -153,11 +153,53 @@ class EstimateReport(Record):
     schedule: Optional[Schedule] = None
 
 
-def _report(f, seed, epsilon, delta, lambda_bound, trace_length, estimate=None, **run) -> EstimateReport:
-    """The report echoing a run's inputs; with no ``run`` fields (and estimate f.lo) the degenerate one."""
+@dataclasses.dataclass(frozen=True)
+class Plan:
+    """One run sized before its first step; ``steps`` is the most base steps it walks (0 for a constant f)."""
+
+    trace_length: int
+    lambda_bound: float  # the caller's bound raised to trace_length, which the closed forms use
+    delta: float  # the failure budget the run spends: delta/4 after an mcmc_pro warm-up
+    tau: int = 0  # warm-up steps per chain
+    schedule: Optional[Schedule] = None  # mcmc_pro
+    m: int = 0  # static
+    steps: int = 0
+
+
+def plan_mcmc_pro(value_range: float, lambda_bound: float, epsilon: float, delta: float, trace_length: int = 1,
+                  pi_min: Optional[float] = None) -> Plan:
+    """Size an ``mcmc_pro`` run of f with range ``value_range``; given ``pi_min``, with a warm-up and delta/4."""
+    _check_accuracy(epsilon, delta)
+    if trace_length < 1:
+        raise ValueError(f"trace length must be >= 1, got {trace_length}")
+    block_lambda = checked_lambda(lambda_bound) ** trace_length
+    tau, delta = (0, delta) if pi_min is None else (uniform_mixing_steps(lambda_bound, pi_min), delta / 4.0)
+    if value_range == 0:
+        return Plan(trace_length, block_lambda, delta)
+    schedule = build_schedule(value_range, epsilon, block_lambda, delta)
+    steps = 2 * tau + 2 * trace_length * schedule.sizes[-1]
+    check_steps(steps)
+    return Plan(trace_length, block_lambda, delta, tau, schedule, steps=steps)
+
+
+def plan_static(value_range: float, lambda_bound: float, epsilon: float, delta: float,
+                pi_min: Optional[float] = None, variance: Optional[float] = None) -> Plan:
+    """Size a ``static_estimate`` run: the Hoeffding m, or the Bernstein m given ``variance``, after any warm-up."""
+    _check_accuracy(epsilon, delta)
+    tau = 0 if pi_min is None else uniform_mixing_steps(lambda_bound, pi_min)
+    if value_range == 0:
+        return Plan(1, checked_lambda(lambda_bound), delta)
+    m = (hoeffding_sample_complexity(lambda_bound, value_range, delta, epsilon) if variance is None
+         else bernstein_sample_complexity(lambda_bound, value_range, delta, variance, epsilon))
+    check_steps(tau + m)
+    return Plan(1, lambda_bound, delta, tau, m=m, steps=tau + m)
+
+
+def _report(f, seed, epsilon, plan: Plan, estimate=None, **run) -> EstimateReport:
+    """The report of a run of ``plan``; with no ``run`` fields (and estimate f.lo) the degenerate one."""
     return EstimateReport(estimate=float(f.lo) if estimate is None else estimate, seed=seed, epsilon=epsilon,
-                          delta=delta, lambda_bound=lambda_bound, trace_length=trace_length,
-                          function_range=(f.lo, f.hi), **run)
+                          delta=plan.delta, lambda_bound=plan.lambda_bound, trace_length=plan.trace_length,
+                          function_range=(f.lo, f.hi), schedule=plan.schedule, **run)
 
 
 def mcmc_pro(
@@ -176,28 +218,24 @@ def mcmc_pro(
 
     ``lambda_bound`` must upper bound the kernel's second absolute eigenvalue,
     and with ``pi_min`` None the initial pair must be stationary.  Given
-    ``pi_min``, a lower bound on the least stationary probability, both chains
-    first walk tau = ``uniform_mixing_steps`` warm-up steps on the ``WARMUP``
-    stream (charged as 2 tau; none for a constant f) and the failure budget is
-    delta/4 to absorb the residual nonstationarity.  Each sample is the mean
-    of f over ``trace_length`` consecutive base steps; the blocks form a chain
-    whose second absolute eigenvalue is at most lambda_bound**trace_length,
-    the bound the schedule and the radii use.  Returns the running mean at the
-    first iteration whose radius meets ``epsilon``, or at the last one.
+    ``pi_min``, a lower bound on the least stationary probability of a
+    reversible chain, both chains first walk tau warm-up steps on ``WARMUP``
+    (charged as 2 tau; none for a constant f) and the failure budget is
+    delta/4.  Each sample is the mean of f over a block of ``trace_length``
+    base steps, and the blocks take the bound lambda_bound**trace_length.
+    ``plan_mcmc_pro`` sizes all of it.  Returns the running mean at the first
+    iteration whose radius meets ``epsilon``, or at the last one.
     """
-    _check_accuracy(epsilon, delta)
-    if trace_length < 1:
-        raise ValueError(f"trace length must be >= 1, got {trace_length}")
-    t = trace_length
-    block_lambda = checked_lambda(lambda_bound) ** t
-    tau, delta = (0, delta) if pi_min is None else (uniform_mixing_steps(lambda_bound, pi_min), delta / 4.0)
+    plan = plan_mcmc_pro(f.value_range, lambda_bound, epsilon, delta, trace_length, pi_min)
+    if pi_min is not None and not kernel.is_reversible:  # lambda^tau / pi_min bounds reversible chains only
+        raise ValueError(f"a warm-up needs a reversible chain, got {kernel.name!r}")
     state_a, state_b = initial_pair
     kernel.check_start(state_a)  # here too, since a constant f returns before any step
     kernel.check_start(state_b)
-    if f.value_range == 0:
-        return _report(f, seed, epsilon, delta, block_lambda, t)
-    schedule = build_schedule(f.value_range, epsilon, block_lambda, delta)
-    check_steps(2 * tau + 2 * t * schedule.sizes[-1])
+    if not plan.steps:
+        return _report(f, seed, epsilon, plan)
+    t, tau, sizes = plan.trace_length, plan.tau, plan.schedule.sizes
+    lam, r, delta_prime = plan.lambda_bound, f.value_range, plan.schedule.delta_prime
     if pi_min is not None:
         rng_w = stream(seed, WARMUP)
         state_a, _ = kernel.advance(state_a, tau, rng_w)
@@ -205,37 +243,30 @@ def mcmc_pro(
     rng_a = stream(seed, CHAIN_A)
     rng_b = stream(seed, CHAIN_B)
 
-    means_a = np.empty(schedule.sizes[-1])
-    means_b = np.empty(schedule.sizes[-1])
+    means_a = np.empty(sizes[-1])
+    means_b = np.empty(sizes[-1])
     records = []
     termination = SCHEDULE_EXHAUSTED
     previous = 0
-    for m_i in schedule.sizes:
+    for m_i in sizes:
         steps = (m_i - previous) * t
         state_a, means_a[previous:m_i] = kernel.advance(state_a, steps, rng_a, f, t)
         state_b, means_b[previous:m_i] = kernel.advance(state_b, steps, rng_b, f, t)
         previous = m_i
 
         paired = PairedEvaluations(means_a[:m_i], means_b[:m_i])
-        params = ConcentrationParams(
-            lambda_bound=block_lambda,
-            value_range=f.value_range,
-            delta_prime=schedule.delta_prime,
-            m=m_i,
-        )
         mean_i = empirical_mean(paired)
         var_i = two_chain_variance(paired)
-        bound_i = variance_upper_bound(var_i, params)
-        radius_i = bernstein_radius(bound_i, params)
+        bound_i = variance_upper_bound(var_i, lam, r, delta_prime, m_i)
+        radius_i = bernstein_radius(bound_i, lam, r, delta_prime, m_i)
         records.append(IterationRecord(m=m_i, mean=mean_i, variance=var_i, variance_bound=bound_i, radius=radius_i))
         if radius_i <= epsilon:
             termination = RADIUS_MET
             break
 
     last = records[-1]
-    return _report(f, seed, epsilon, delta, block_lambda, t, last.mean, iterations=tuple(records),
-                   total_base_steps=2 * tau + 2 * last.m * t, warmup_steps=2 * tau, termination=termination,
-                   schedule=schedule)
+    return _report(f, seed, epsilon, plan, last.mean, iterations=tuple(records),
+                   total_base_steps=2 * tau + 2 * last.m * t, warmup_steps=2 * tau, termination=termination)
 
 
 def select_trace_length(lambda_bound: float) -> int:
@@ -289,7 +320,7 @@ def warm_start(
 
     ``pi_min`` must lower bound the minimum stationary probability.  This is
     ``mcmc_pro`` with ``dynamite``'s trace length and ``pi_min``, so the
-    warm-up, its charge, its ``STEP_CAP`` check and the delta/4 live there.
+    warm-up, the delta/4 and the ``STEP_CAP`` check live in its plan.
     """
     if not (kernel.is_lazy and kernel.is_reversible):
         raise ValueError(f"warm start needs a lazy reversible chain, got {kernel.name!r}")
@@ -311,28 +342,25 @@ def static_estimate(
 ) -> EstimateReport:
     """Classic fixed-size baseline: the mean of f over one path of m steps sized in advance.
 
-    m is the Hoeffding size for f's range at radius ``epsilon`` with failure
-    ``delta``, or the Bernstein size when the stationary ``variance`` is
-    given.  With ``pi_min`` the path starts after tau uniform-mixing warm-up
-    steps from ``start``, as in ``warm_start``; with None the start must be
-    stationary and tau = 0.  f is summed ``CHUNK`` steps at a time, so memory
-    does not grow with m.  The report charges tau + m steps and ends
+    ``plan_static`` sizes m: the Hoeffding size for f's range at radius
+    ``epsilon`` with failure ``delta``, or the Bernstein size given the
+    stationary ``variance``.  With ``pi_min`` a reversible chain first walks
+    tau uniform-mixing warm-up steps from ``start``; with None the start must
+    be stationary and tau = 0.  f is summed ``CHUNK`` steps at a time, so
+    memory does not grow with m.  The report charges tau + m steps and ends
     ``"static"``, with no schedule and no iterations.
     """
-    _check_accuracy(epsilon, delta)
-    tau = 0 if pi_min is None else uniform_mixing_steps(lambda_bound, pi_min)
+    plan = plan_static(f.value_range, lambda_bound, epsilon, delta, pi_min, variance)
+    if pi_min is not None and not kernel.is_reversible:  # as in mcmc_pro
+        raise ValueError(f"a warm-up needs a reversible chain, got {kernel.name!r}")
     kernel.check_start(start)  # here too, since a constant f returns before any step
-    params = ConcentrationParams(lambda_bound=lambda_bound, value_range=f.value_range, delta_prime=delta, m=1)
-    if f.value_range == 0:
-        return _report(f, seed, epsilon, delta, lambda_bound, 1)
-    m = (hoeffding_sample_complexity(params, epsilon) if variance is None
-         else bernstein_sample_complexity(params, variance, epsilon))
-    check_steps(tau + m)
-    state, _ = kernel.advance(start, tau, stream(seed, WARMUP))
+    if not plan.steps:
+        return _report(f, seed, epsilon, plan)
+    state, _ = kernel.advance(start, plan.tau, stream(seed, WARMUP))
     rng = stream(seed, CHAIN_A)
     total = 0.0
-    for done in range(0, m, CHUNK):
-        state, values = kernel.advance(state, min(CHUNK, m - done), rng, f)
+    for done in range(0, plan.m, CHUNK):
+        state, values = kernel.advance(state, min(CHUNK, plan.m - done), rng, f)
         total += float(values.sum())
-    return _report(f, seed, epsilon, delta, lambda_bound, 1, total / m, total_base_steps=tau + m,
-                   warmup_steps=tau, termination=STATIC)
+    return _report(f, seed, epsilon, plan, total / plan.m, total_base_steps=plan.steps, warmup_steps=plan.tau,
+                   termination=STATIC)

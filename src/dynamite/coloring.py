@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptive import EstimateReport, static_estimate, warm_start
+from .adaptive import (EstimateReport, check_steps, plan_mcmc_pro, plan_static, select_trace_length,
+                       static_estimate, warm_start)
 from .chains import ScalarFunction, TransitionKernel
 from .errors import GuardError, StatisticalFailure
 from .estimators import checked_lambda
@@ -526,6 +527,9 @@ def jvv_count(
       epsilon and delta alone, and the generator draws as for the whole chain.
 
     So every path, estimate and step count is the whole chain's, bit for bit.
+    Each phase's indicator (range 1) is planned before phase 1, as its
+    ``warm_start`` or ``static_estimate`` run plans it; a count whose plans
+    total over ``STEP_CAP`` base steps is refused whole with a GuardError.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -546,20 +550,24 @@ def jvv_count(
             f"ergodicity floor: k={k} is below the admissible minimum {floor} "
             f"for this graph's sampling phases (degeneracy + 2)"
         )
+    outcomes, lambdas = [], []
     if order:  # an edgeless graph has k^n colorings: no phase, bound or size check
         eps_i = epsilon / len(order)
         delta_i = delta / len(order)
         pi_min = 1.0 / coloring_space_size(graph.n, k)
         shared = coloring_lambda(Graph(graph.n, order[:-1]), k, lambda_bound)
+        lambdas = [shared if shared[1] != "heuristic" else coloring_lambda(Graph(graph.n, order[:i]), k)
+                   for i in range(len(order))]
+        plans = [plan_mcmc_pro(1.0, lam, eps_i, delta_i, select_trace_length(lam), pi_min)
+                 if estimator == "dynamite" else plan_static(1.0, lam, eps_i, delta_i, pi_min) for lam, _ in lambdas]
+        check_steps(sum(plan.steps for plan in plans), f"count of {len(order)} phases")
 
-    outcomes = []
     log_count = graph.n * math.log(k)
     total_steps = 0
-    for index, edge in enumerate(order, 1):
+    for index, (edge, (lazy_lambda, source)) in enumerate(zip(order, lambdas), 1):
         sampling_graph = Graph(graph.n, order[:index - 1])
         support = sampling_graph.components_of(edge)
         fn = _phase_indicator(edge, support)
-        lazy_lambda, source = shared if shared[1] != "heuristic" else coloring_lambda(sampling_graph, k)
         kernel = glauber_kernel(sampling_graph, k, support)
         start = greedy_coloring(sampling_graph, k)[list(support)]
         estimate = warm_start if estimator == "dynamite" else static_estimate

@@ -56,27 +56,16 @@ def checked_lambda(lambda_bound):
     return lambda_bound
 
 
-@dataclasses.dataclass(frozen=True)
-class ConcentrationParams:
-    """Inputs shared by every displayed bound: eigenvalue bound, range, budget, size."""
-
-    lambda_bound: float
-    value_range: float
-    delta_prime: float
-    m: int
-
-    def __post_init__(self):
-        checked_lambda(self.lambda_bound)
-        if self.value_range < 0:
-            raise ValueError("range must be nonnegative")
-        if not 0.0 < self.delta_prime < 1.0:
-            raise ValueError(f"failure budget must lie in (0, 1), got {self.delta_prime}")
-        if self.m < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.m}")
-
-    @property
-    def log_term(self) -> float:
-        return math.log(1.0 / self.delta_prime)
+def _log_term(lambda_bound, value_range, delta_prime, m=1) -> float:
+    """ln(1/delta'), once lambda in [0, 1), R >= 0, delta' in (0, 1) and m >= 1 are checked (ValueError)."""
+    checked_lambda(lambda_bound)
+    if value_range < 0:
+        raise ValueError("range must be nonnegative")
+    if not 0.0 < delta_prime < 1.0:
+        raise ValueError(f"failure budget must lie in (0, 1), got {delta_prime}")
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
+    return math.log(1.0 / delta_prime)
 
 
 def empirical_mean(paired: PairedEvaluations) -> float:
@@ -90,55 +79,49 @@ def two_chain_variance(paired: PairedEvaluations) -> float:
     return float(diff @ diff / (2 * paired.m))
 
 
-def hoeffding_sample_complexity(params: ConcentrationParams, epsilon: float) -> int:
+def hoeffding_sample_complexity(lambda_bound: float, value_range: float, delta_prime: float, epsilon: float) -> int:
     """Steps sufficient for the range-based tail bound at additive radius epsilon."""
+    _log_term(lambda_bound, value_range, delta_prime)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    r = params.value_range
-    if r == 0:
-        return 0
-    lam = params.lambda_bound
-    m = (1 + lam) / (1 - lam) * math.log(2.0 / params.delta_prime) * r * r / (2 * epsilon * epsilon)
-    return int(math.ceil(m))
+    lam, r = lambda_bound, value_range
+    return math.ceil((1 + lam) / (1 - lam) * math.log(2.0 / delta_prime) * r * r / (2 * epsilon * epsilon))
 
 
-def bernstein_sample_complexity(params: ConcentrationParams, variance: float, epsilon: float) -> int:
+def bernstein_sample_complexity(lambda_bound: float, value_range: float, delta_prime: float, variance: float,
+                                epsilon: float) -> int:
     """Steps sufficient for the variance-aware tail bound at radius epsilon."""
+    _log_term(lambda_bound, value_range, delta_prime)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if variance < 0:
         raise ValueError("variance must be nonnegative")
-    r = params.value_range
-    if r == 0 and variance == 0:
-        return 0
-    lam = params.lambda_bound
-    m = (2.0 / (1 - lam)) * math.log(2.0 / params.delta_prime) * (
+    lam, r = lambda_bound, value_range
+    return math.ceil((2.0 / (1 - lam)) * math.log(2.0 / delta_prime) * (
         5 * r / epsilon + (1 + lam) * variance / (epsilon * epsilon)
-    )
-    return int(math.ceil(m))
+    ))
 
 
-def variance_upper_bound(vhat: float, params: ConcentrationParams) -> float:
+def variance_upper_bound(vhat: float, lambda_bound: float, value_range: float, delta_prime: float, m: int) -> float:
     """High-probability upper confidence bound on the true variance given vhat.
 
     u = vhat + (11 + sqrt(21)) (1 + lam/sqrt(21)) R^2 L / ((1 - lam) m)
              + sqrt((1 + lam) R^2 vhat L / ((1 - lam) m)),   L = ln(1/delta').
     """
-    lam, r, m = params.lambda_bound, params.value_range, params.m
-    ell = params.log_term
+    ell = _log_term(lambda_bound, value_range, delta_prime, m)
+    lam, r = lambda_bound, value_range
     correction = (11.0 + SQRT21) * (1.0 + lam / SQRT21) * r * r * ell / ((1 - lam) * m)
     cross = math.sqrt((1 + lam) * r * r * vhat * ell / ((1 - lam) * m))
     return float(vhat + correction + cross)
 
 
-def bernstein_radius(u: float, params: ConcentrationParams) -> float:
+def bernstein_radius(u: float, lambda_bound: float, value_range: float, delta_prime: float, m: int) -> float:
     """Data-dependent confidence radius given a variance upper bound u.
 
     eps_hat = 10 R L / ((1 - lam) m) + sqrt((1 + lam) u L / ((1 - lam) m)).
     """
+    ell = _log_term(lambda_bound, value_range, delta_prime, m)
     if u < 0:
         raise ValueError("variance bound must be nonnegative")
-    lam, r, m = params.lambda_bound, params.value_range, params.m
-    ell = params.log_term
+    lam, r = lambda_bound, value_range
     return float(10 * r * ell / ((1 - lam) * m) + math.sqrt((1 + lam) * u * ell / ((1 - lam) * m)))
-

@@ -11,7 +11,6 @@ import numpy as np
 
 from .coloring import Graph
 from .errors import GuardError
-from .rng import as_generator
 from .spectral import MATRIX_CAP
 
 
@@ -60,7 +59,7 @@ def generate(params: PlantedParams, rng) -> PartitionedGraph:
     """
     if params.n > MATRIX_CAP:
         raise GuardError(f"dense planted generation capped at {MATRIX_CAP} vertices, got n={params.n}")
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)  # an int seed, or a ready Generator as it is
     n, r = params.n, params.communities
     labels = np.arange(n) // (n // r)
     prob = np.where(labels[:, None] == labels[None, :], params.within_prob, params.cross_prob)

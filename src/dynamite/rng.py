@@ -28,10 +28,3 @@ def child_seed(seed: int, *path: int) -> int:
     """Derive a stable integer seed for a child run (e.g. one counting phase)."""
     entropy = [int(seed) & _MASK] + [int(p) & _MASK for p in path]
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept either an integer seed or a ready generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(int(rng))

@@ -229,9 +229,7 @@ def test_c10_directional_efficiency_at_pinned_radius():
     summary = dm.summarize(kernel, f)
     lam = summary.second_eigenvalue
     eps, dlt = 0.02, 0.1
-    budget = dm.hoeffding_sample_complexity(
-        dm.ConcentrationParams(lambda_bound=lam, value_range=1.0, delta_prime=dlt, m=1), eps
-    )
+    budget = dm.hoeffding_sample_complexity(lam, 1.0, dlt, eps)
     steps = []
     for batch in range(20):
         starts = stream(42, batch)
@@ -258,9 +256,7 @@ def test_c10_companion_directional_efficiency_crossover():
     summary = dm.summarize(kernel, f)
     lam = summary.second_eigenvalue
     eps, dlt = 0.005, 0.1
-    budget = dm.hoeffding_sample_complexity(
-        dm.ConcentrationParams(lambda_bound=lam, value_range=1.0, delta_prime=dlt, m=1), eps
-    )
+    budget = dm.hoeffding_sample_complexity(lam, 1.0, dlt, eps)
     steps = []
     for batch in range(20):
         starts = stream(42, batch)

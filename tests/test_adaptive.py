@@ -17,6 +17,12 @@ CONSTANT = dm.ScalarFunction(lambda xs: np.full(len(xs), 0.7), lo=0.7, hi=0.7, n
 CYCLE8_LAMBDA = math.cos(math.pi / 8) ** 2
 
 
+@pytest.fixture()
+def rotor():
+    """A lazy one-way 3-cycle: stationary law uniform, but not reversible."""
+    return dm.matrix_kernel(np.array([[0.6, 0.4, 0.0], [0.0, 0.6, 0.4], [0.4, 0.0, 0.6]]), "rotor", is_lazy=True)
+
+
 class TestBuildSchedule:
     def test_hand_fixture(self):
         s = dm.build_schedule(1.0, 1 / 64, 0.0, 0.1)
@@ -70,8 +76,8 @@ class TestBuildSchedule:
         """
         s = dm.build_schedule(1.0, epsilon, block_lambda, delta)
         for m in s.sizes[:3]:
-            params = dm.ConcentrationParams(block_lambda, 1.0, s.delta_prime, m)
-            assert dm.bernstein_radius(dm.variance_upper_bound(0.0, params), params) > epsilon
+            bound = (block_lambda, 1.0, s.delta_prime, m)
+            assert dm.bernstein_radius(dm.variance_upper_bound(0.0, *bound), *bound) > epsilon
 
 
 class TestTraceLengthAndWarmup:
@@ -163,27 +169,40 @@ class TestStepCap:
     @settings(max_examples=60, deadline=None)
     def test_a_run_never_walks_past_the_plan_it_was_checked_on(self, entry, lam, epsilon, delta, seed):
         counted, counter = counting_kernel(dm.make_cycle(8))
-        f = dm.make_cycle_function(8, 1)
-        plans, check = [], adaptive.check_steps
-
-        def recorded(planned):
-            plans.append(planned)
-            check(planned)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(adaptive, "check_steps", recorded)
-            if entry.startswith("static_estimate"):
-                pi_min = 1 / 8 if entry.endswith("warmup") else None
-                variance = 0.25 if entry.endswith("bernstein") else None
-                report = dm.static_estimate(1, counted, lam, pi_min, f, epsilon, delta, seed, variance=variance)
-            elif entry == "warm_start":
-                report = dm.warm_start(1, counted, lam, 1 / 8, f, epsilon, delta, seed)
-            else:
-                report = getattr(dm, entry)((0, 4), counted, lam, f, epsilon, delta, seed)
-        assert plans
-        assert counter.count == report.total_base_steps <= plans[0]
+        f = dm.make_cycle_function(8, 1)  # range 1
         if entry.startswith("static_estimate"):
-            assert report.total_base_steps == plans[0]
+            pi_min = 1 / 8 if entry.endswith("warmup") else None
+            variance = 0.25 if entry.endswith("bernstein") else None
+            plan = adaptive.plan_static(1.0, lam, epsilon, delta, pi_min, variance)
+            report = dm.static_estimate(1, counted, lam, pi_min, f, epsilon, delta, seed, variance=variance)
+        elif entry == "warm_start":
+            plan = adaptive.plan_mcmc_pro(1.0, lam, epsilon, delta, dm.select_trace_length(lam), 1 / 8)
+            report = dm.warm_start(1, counted, lam, 1 / 8, f, epsilon, delta, seed)
+        else:
+            t = dm.select_trace_length(lam) if entry == "dynamite" else 1
+            plan = adaptive.plan_mcmc_pro(1.0, lam, epsilon, delta, t)
+            report = getattr(dm, entry)((0, 4), counted, lam, f, epsilon, delta, seed)
+        assert counter.count == report.total_base_steps <= plan.steps
+        assert (report.delta, report.lambda_bound, report.trace_length) == (plan.delta, plan.lambda_bound,
+                                                                           plan.trace_length)
+        if entry.startswith("static_estimate"):
+            assert report.total_base_steps == plan.steps
+
+    @pytest.mark.parametrize("estimator", ["dynamite", "static-hoeffding"])
+    def test_a_count_never_walks_past_its_phase_plans(self, estimator, monkeypatch):
+        walked, path = [], dm.TransitionKernel.path
+        monkeypatch.setattr(dm.TransitionKernel, "path", lambda *a: walked.append(a[2]) or path(*a))
+        graph, k, eps, delta = dm.Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0))), 3, 0.25, 0.25
+        result = dm.jvv_count(graph, k, eps, delta, estimator=estimator, seed=11)
+        edges, pi_min = len(graph.edges), 1 / k ** graph.n
+        plans = [adaptive.plan_mcmc_pro(1.0, p.lambda_bound, eps / edges, delta / edges,
+                                        dm.select_trace_length(p.lambda_bound), pi_min) if estimator == "dynamite"
+                 else adaptive.plan_static(1.0, p.lambda_bound, eps / edges, delta / edges, pi_min)
+                 for p in result.phases]
+        planned = sum(plan.steps for plan in plans)
+        assert sum(walked) == result.total_steps <= planned
+        if estimator == "static-hoeffding":
+            assert result.total_steps == planned
 
 
 class TestMcmcPro:
@@ -290,14 +309,23 @@ class TestDynamite:
 
 
 class TestWarmStart:
-    def test_requires_lazy_reversible(self, cycle8_f1):
-        nonrev = dm.matrix_kernel(
-            np.array([[0.6, 0.4, 0.0], [0.0, 0.6, 0.4], [0.4, 0.0, 0.6]]),
-            "rotor",
-            is_lazy=True,
-        )
+    def test_requires_lazy_reversible(self, rotor):
         with pytest.raises(ValueError, match="reversible"):
-            dm.warm_start(0, nonrev, 0.9, 1 / 3, dm.indicator_function([1]), 0.1, 0.1, seed=0)
+            dm.warm_start(0, rotor, 0.9, 1 / 3, dm.indicator_function([1]), 0.1, 0.1, seed=0)
+
+    @pytest.mark.parametrize("entry", ["mcmc_pro", "static_estimate"])
+    def test_any_warm_up_requires_a_reversible_chain(self, entry, rotor, monkeypatch):
+        # the l-infinity warm-up bound lambda^tau / pi_min holds for reversible chains only
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("walked a warm-up on a non-reversible chain")
+
+        monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+        f = dm.indicator_function([1])
+        with pytest.raises(ValueError, match="reversible"):
+            if entry == "mcmc_pro":
+                dm.mcmc_pro((0, 0), rotor, 0.9, f, 0.1, 0.1, seed=0, pi_min=1 / 3)
+            else:
+                dm.static_estimate(0, rotor, 0.9, 1 / 3, f, 0.1, 0.1, seed=0)
 
     @pytest.mark.parametrize("lam", (0.0, math.cos(math.pi / 8) ** 2))
     def test_rejects_invalid_start_with_or_without_warmup(self, lam, cycle8, cycle8_f1):

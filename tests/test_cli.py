@@ -391,6 +391,29 @@ class TestCountColorings:
         assert time.perf_counter() - started < 1.0
         assert "above the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("graph, k, estimator, planned", [
+        ("path40", 5, "dynamite", "6,035,848,884"),
+        ("path40", 5, "static-hoeffding", "2,178,560,631"),
+        ("star30", 3, "dynamite", "22,944,969,356"),
+        ("star30", 3, "static-hoeffding", "12,765,565,014"),
+    ])
+    def test_a_count_over_the_cap_is_refused_whole_before_phase_one(self, graph, k, estimator, planned, tmp_path,
+                                                                     capsys, monkeypatch):
+        # every phase plans under the cap alone; their total is over it
+        edges = tuple((i, i + 1) for i in range(39)) if graph == "path40" else tuple((0, i) for i in range(1, 31))
+        path = tmp_path / f"{graph}.json"
+        path.write_text(json.dumps(dm.Graph(len(edges) + 1, edges).to_json()))
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the count's step cap")
+
+        monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+        started = time.perf_counter()
+        code = run_cli(["count-colorings", "--graph", str(path), "--k", str(k), "--estimator", estimator])
+        assert code == EXIT_GUARD
+        assert time.perf_counter() - started < 1.0
+        assert f"the count of {len(edges)} phases plans {planned} base steps, above the cap" in capsys.readouterr().err
+
     def test_size_overflow_guard_exit_three(self, tmp_path, capsys):
         path = tmp_path / "path460.json"
         path.write_text(json.dumps(dm.Graph(460, tuple((i, i + 1) for i in range(459))).to_json()))
@@ -425,7 +448,7 @@ class TestGenPlanted:
         def no_draw(*args, **kwargs):
             raise AssertionError("reached the dense draw before the size guard")
 
-        monkeypatch.setattr("dynamite.planted.as_generator", no_draw)
+        monkeypatch.setattr("numpy.random.default_rng", no_draw)
         code = run_cli(["gen-planted", "--n", n, "--r", "1", "--p", "0.5", "--q", "0",
                         "--out", str(tmp_path / "big.json")])
         assert code == EXIT_GUARD

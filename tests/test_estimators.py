@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,9 @@ from dynamite.rng import CHAIN_A, CHAIN_B, stream
 from _oracles import counting_kernel
 
 
-def params(lam=0.0, r=1.0, delta_prime=math.exp(-1.0), m=1):
-    return dm.ConcentrationParams(lambda_bound=lam, value_range=r, delta_prime=delta_prime, m=m)
+def params(lam=0.0, r=1.0, delta_prime=math.exp(-1.0)):
+    """The (lambda, R, delta') every closed form takes first; the radii take m after them."""
+    return lam, r, delta_prime
 
 
 def paired(a, b):
@@ -78,34 +80,59 @@ class TestTwoChainVariance:
 
 class TestSampleComplexities:
     def test_hoeffding_hand_fixtures(self):
-        assert dm.hoeffding_sample_complexity(params(lam=0.0, delta_prime=2 / math.e), 0.5) == 2
-        assert dm.hoeffding_sample_complexity(params(lam=0.5, delta_prime=2 / math.e), 0.5) == 6
-        assert dm.hoeffding_sample_complexity(params(r=0.0), 0.5) == 0
+        assert dm.hoeffding_sample_complexity(*params(lam=0.0, delta_prime=2 / math.e), 0.5) == 2
+        assert dm.hoeffding_sample_complexity(*params(lam=0.5, delta_prime=2 / math.e), 0.5) == 6
+        assert dm.hoeffding_sample_complexity(*params(r=0.0), 0.5) == 0
 
     def test_bernstein_hand_fixtures(self):
-        assert dm.bernstein_sample_complexity(params(lam=0.0, delta_prime=2 / math.e), 0.0, 1.0) == 10
-        assert dm.bernstein_sample_complexity(params(lam=0.0, delta_prime=2 / math.e), 0.25, 0.5) == 22
-        assert dm.bernstein_sample_complexity(params(r=0.0), 0.0, 1.0) == 0
+        assert dm.bernstein_sample_complexity(*params(lam=0.0, delta_prime=2 / math.e), 0.0, 1.0) == 10
+        assert dm.bernstein_sample_complexity(*params(lam=0.0, delta_prime=2 / math.e), 0.25, 0.5) == 22
+        assert dm.bernstein_sample_complexity(*params(r=0.0), 0.0, 1.0) == 0
 
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
-            dm.hoeffding_sample_complexity(params(), 0.0)
+            dm.hoeffding_sample_complexity(*params(), 0.0)
         with pytest.raises(ValueError):
-            dm.bernstein_sample_complexity(params(), 0.1, -1.0)
+            dm.bernstein_sample_complexity(*params(), 0.1, -1.0)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"lam": 1.0}, "lambda bound must lie in [0, 1), got 1.0"),
+    ({"lam": -0.1}, "lambda bound must lie in [0, 1), got -0.1"),
+    ({"r": -1.0}, "range must be nonnegative"),
+    ({"delta_prime": 0.0}, "failure budget must lie in (0, 1), got 0.0"),
+    ({"delta_prime": 1.0}, "failure budget must lie in (0, 1), got 1.0"),
+])
+@pytest.mark.parametrize("closed_form", ["hoeffding_sample_complexity", "bernstein_sample_complexity",
+                                         "variance_upper_bound", "bernstein_radius"])
+def test_closed_forms_refuse_bad_inputs(closed_form, bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if closed_form == "hoeffding_sample_complexity":
+            dm.hoeffding_sample_complexity(*params(**bad), 0.1)
+        elif closed_form == "bernstein_sample_complexity":
+            dm.bernstein_sample_complexity(*params(**bad), 0.25, 0.1)
+        else:
+            getattr(dm, closed_form)(0.25, *params(**bad), 1)
+
+
+@pytest.mark.parametrize("closed_form", ["variance_upper_bound", "bernstein_radius"])
+def test_radii_refuse_an_empty_sample(closed_form):
+    with pytest.raises(ValueError, match=re.escape("sample count must be >= 1, got 0")):
+        getattr(dm, closed_form)(0.25, *params(), 0)
 
 
 class TestVarianceUpperBound:
     def test_zero_variance_constant(self):
         # L/m == 1 via delta' = 1/e, m = 1
-        u = dm.variance_upper_bound(0.0, params())
+        u = dm.variance_upper_bound(0.0, *params(), 1)
         assert u == pytest.approx(11 + math.sqrt(21), abs=1e-12)
 
     def test_quarter_variance(self):
-        u = dm.variance_upper_bound(0.25, params())
+        u = dm.variance_upper_bound(0.25, *params(), 1)
         assert u == pytest.approx(0.25 + (11 + math.sqrt(21)) + 0.5, abs=1e-12)
 
     def test_vanishes_with_sample_size(self):
-        small = dm.variance_upper_bound(0.1, params(m=10 ** 9))
+        small = dm.variance_upper_bound(0.1, *params(), 10 ** 9)
         assert small == pytest.approx(0.1, abs=1e-3)
 
     @given(
@@ -115,18 +142,18 @@ class TestVarianceUpperBound:
     )
     @settings(max_examples=200, deadline=None)
     def test_dominates_the_estimate(self, vhat, lam, m):
-        assert dm.variance_upper_bound(vhat, params(lam=lam, m=m)) >= vhat
+        assert dm.variance_upper_bound(vhat, *params(lam=lam), m) >= vhat
 
 
 class TestBernsteinRadius:
     def test_zero_bound(self):
-        assert dm.bernstein_radius(0.0, params()) == pytest.approx(10.0, abs=1e-12)
+        assert dm.bernstein_radius(0.0, *params(), 1) == pytest.approx(10.0, abs=1e-12)
 
     def test_unit_bound(self):
-        assert dm.bernstein_radius(1.0, params()) == pytest.approx(11.0, abs=1e-12)
+        assert dm.bernstein_radius(1.0, *params(), 1) == pytest.approx(11.0, abs=1e-12)
 
     def test_degenerate_range(self):
-        assert dm.bernstein_radius(0.0, params(r=0.0)) == 0.0
+        assert dm.bernstein_radius(0.0, *params(r=0.0), 1) == 0.0
 
     @given(
         st.floats(min_value=0.0, max_value=2.0),
@@ -134,8 +161,8 @@ class TestBernsteinRadius:
     )
     @settings(max_examples=100, deadline=None)
     def test_strictly_decreasing_in_m(self, u, doublings):
-        r1 = dm.bernstein_radius(u, params(m=2 ** doublings))
-        r2 = dm.bernstein_radius(u, params(m=2 ** (doublings + 1)))
+        r1 = dm.bernstein_radius(u, *params(), 2 ** doublings)
+        r2 = dm.bernstein_radius(u, *params(), 2 ** (doublings + 1))
         assert r2 < r1
 
 
@@ -183,8 +210,8 @@ class TestStaticEstimate:
         lam = math.cos(math.pi / 8) ** 2
         report = dm.static_estimate(1, counted, lam, 1 / 8, cycle8_f1, 0.05, 0.1, seed=4, variance=variance)
         budget = params(lam=lam, delta_prime=0.1)
-        m = (dm.hoeffding_sample_complexity(budget, 0.05) if variance is None
-             else dm.bernstein_sample_complexity(budget, variance, 0.05))
+        m = (dm.hoeffding_sample_complexity(*budget, 0.05) if variance is None
+             else dm.bernstein_sample_complexity(*budget, variance, 0.05))
         tau = dm.uniform_mixing_steps(lam, 1 / 8)
         assert (report.warmup_steps, report.total_base_steps, counter.count) == (tau, tau + m, tau + m)
         assert (report.termination, report.iterations, report.schedule, report.trace_length) == ("static", (), None, 1)

@@ -46,7 +46,7 @@ class TestGenerate:
         def no_draw(*args, **kwargs):
             raise AssertionError("reached the dense draw before the size guard")
 
-        monkeypatch.setattr("dynamite.planted.as_generator", no_draw)
+        monkeypatch.setattr("numpy.random.default_rng", no_draw)
         params = dm.PlantedParams(n=MATRIX_CAP + 1, communities=1, within_prob=0.5, cross_mass=0.0)
         with pytest.raises(dm.GuardError, match=f"capped at {MATRIX_CAP} vertices"):
             dm.generate(params, 0)

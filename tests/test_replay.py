@@ -164,6 +164,8 @@ import test_replay
 kernel, f = test_replay._cycle8()
 glauber = test_replay.dm.glauber_kernel(test_replay._c4(), 3)
 constant = test_replay.dm.ScalarFunction(lambda xs: [0.0] * len(xs), lo=0.0, hi=0.0)
+rotor = test_replay.dm.matrix_kernel([[0.6, 0.4, 0.0], [0.0, 0.6, 0.4], [0.4, 0.0, 0.6]], "rotor", is_lazy=True)
+star30 = test_replay.dm.Graph(31, tuple((0, i) for i in range(1, 31)))
 refused = []
 for check in (lambda: f(8), lambda: f.values([0, -1]), lambda: kernel.check_start(8),
               lambda: glauber.check_start([1, 1, 2, 3]), lambda: kernel.advance(8, 0, None),
@@ -173,8 +175,11 @@ for check in (lambda: f(8), lambda: f.values([0, -1]), lambda: kernel.check_star
               lambda: test_replay.dm.static_estimate(8, kernel, 0.5, None, f, 0.1, 0.1, 0),
               lambda: test_replay.dm.mcmc_pro((0, 4), kernel, 0.5, constant, -1.0, 0.1, seed=0),
               lambda: test_replay.dm.static_estimate(0, kernel, 0.5, 0.0, constant, 0.1, 0.1, 0),
+              lambda: test_replay.dm.static_estimate(0, rotor, 0.9, 1 / 3, test_replay.dm.indicator_function([1]),
+                                                     0.1, 0.1, 0),
               lambda: test_replay.dm.mcmc_pro((0, 4), kernel, 0.5, f, 1e-9, 0.1, seed=0),
-              lambda: test_replay.dm.spectral.check_horizon(512, 10 ** 5)):
+              lambda: test_replay.dm.spectral.check_horizon(512, 10 ** 5),
+              lambda: test_replay.dm.jvv_count(star30, 3, 0.25, 0.25)):
     try:
         check()
     except ValueError as exc:
@@ -190,8 +195,9 @@ def test_payloads_and_state_checks_survive_optimized_mode(recorded):
     # python -O strips asserts: the cycle and counting payloads must replay, and out-of-range
     # states, an improper coloring, steps that are not whole blocks, a vertex set that is not
     # a union of components, a bad start with a constant f, a bad static start, a negative
-    # epsilon or a zero pi_min beside a constant f, a plan above the step cap and a horizon above
-    # the work cap must still be refused
+    # epsilon or a zero pi_min beside a constant f, a warm-up on a non-reversible chain, a plan
+    # above the step cap, a horizon above the work cap and a count above the step cap must still
+    # be refused
     path = os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, *OPTIMIZED_CASES],
@@ -199,7 +205,7 @@ def test_payloads_and_state_checks_survive_optimized_mode(recorded):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["refused"] == ["ValueError"] * 12 + ["GuardError"] * 2
+    assert out["refused"] == ["ValueError"] * 13 + ["GuardError"] * 3
     for name in OPTIMIZED_CASES:
         assert out["payloads"][name] == recorded[name], name
 
