@@ -68,12 +68,16 @@ def check_steps(planned: int, what: str = "run") -> None:
         raise GuardError(f"the {what} plans {planned:,} base steps, above the cap of {STEP_CAP:,}")
 
 
-def _check_accuracy(epsilon: float, delta: float) -> None:
-    """Refuse a radius that is not positive or a failure budget outside (0, 1), with ValueError."""
+def _check_accuracy(epsilon: float, delta: float, value_range: float = 0.0) -> None:
+    """Refuse a radius that is not positive or a failure budget outside (0, 1), with ValueError, and a
+    radius below range/``STEP_CAP``, before any size overflows: every size grows like R/epsilon past the cap."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if value_range > STEP_CAP * epsilon:
+        raise GuardError(f"epsilon={epsilon:g} at range {value_range:g} plans over R/epsilon base steps, "
+                         f"above the cap of {STEP_CAP:,}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,7 +108,7 @@ def build_schedule(value_range: float, epsilon: float, lambda_bound: float, delt
     (1 + L) R ln(3I/delta) / ((1 - L) eps) and each bound instance spends
     delta' = delta / 3I of the failure budget.
     """
-    _check_accuracy(epsilon, delta)
+    _check_accuracy(epsilon, delta, value_range)
     checked_lambda(lambda_bound)
     if value_range <= 0:
         raise ValueError("schedule needs a positive range; degenerate functions return immediately")
@@ -185,7 +189,7 @@ def plan_mcmc_pro(value_range: float, lambda_bound: float, epsilon: float, delta
 def plan_static(value_range: float, lambda_bound: float, epsilon: float, delta: float,
                 pi_min: Optional[float] = None, variance: Optional[float] = None) -> Plan:
     """Size a ``static_estimate`` run: the Hoeffding m, or the Bernstein m given ``variance``, after any warm-up."""
-    _check_accuracy(epsilon, delta)
+    _check_accuracy(epsilon, delta, value_range)
     tau = 0 if pi_min is None else uniform_mixing_steps(lambda_bound, pi_min)
     if value_range == 0:
         return Plan(1, checked_lambda(lambda_bound), delta)

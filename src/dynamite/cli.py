@@ -278,9 +278,6 @@ def _cycle_problem(n, i, epsilon, delta):
 
 
 def _planted_problem(seed, epsilon, delta):
-    # tiny on purpose: a phase whose sampling graph has 2 d_max + 1 > k falls back to the
-    # 1 - 1/(n^2 k) heuristic, whose warm-up grows like n^2 k log(k^n), so n=4 keeps a
-    # batch near a second
     params = PlantedParams(n=4, communities=2, within_prob=0.9, cross_mass=0.5)
     graph = generate(params, seed).graph
     k = graph.d_max + 2

@@ -7,13 +7,11 @@ probability is exactly the ratio of the two consecutive coloring counts, so
 the product of all phase ratios times k^n telescopes to the count for the
 full graph.
 
-That probability reads only the colors of the connected components of u and v
-in the sampling graph, the phase's support.  Colorings of a graph are
-independent across its components, and a single-site move only looks at its
-own vertex's neighbours, so each phase walks the chain's marginal on its
-support alone (``glauber_kernel(graph, k, support)``): the generator draws
-exactly as the whole chain's, proposals elsewhere count as holds, and the
-path is the whole chain's path restricted to the support, bit for bit.
+That probability reads only the colors of the phase's support, the components
+of u and v in the sampling graph.  A single-site move only looks at its own
+vertex's neighbours, so each phase walks the chain's marginal on the support
+alone (``glauber_kernel(graph, k, support)``), whose path is the whole
+chain's restricted to the support, bit for bit.
 
 Single-site dynamics is ergodic on proper colorings whenever the number of
 colors exceeds the graph's degeneracy by at least two; the pipeline enforces
@@ -255,9 +253,7 @@ def brute_force_count(graph: Graph, k: int) -> int:
     if k < 1:
         raise ValueError("k must be positive")
     if k ** graph.n > BRUTE_FORCE_CAP:
-        raise GuardError(
-            f"brute force guarded at k^n <= {BRUTE_FORCE_CAP}, got {k}^{graph.n}"
-        )
+        raise GuardError(f"brute force guarded at k^n <= {BRUTE_FORCE_CAP}, got {k}^{graph.n}")
     n = graph.n
     smaller = [[w for w in graph.adjacency[v] if w < v] for v in range(n)]
     colors = [0] * n
@@ -267,12 +263,10 @@ def brute_force_count(graph: Graph, k: int) -> int:
             return 1
         total = 0
         for c in range(1, k + 1):
-            ok = True
             for w in smaller[v]:
                 if colors[w] == c:
-                    ok = False
                     break
-            if ok:
+            else:
                 colors[v] = c
                 total += rec(v + 1)
         colors[v] = 0
@@ -440,31 +434,44 @@ def coloring_space_size(n: int, k: int) -> float:
         ) from None
 
 
-def coloring_lambda(graph: Graph, k: int, lambda_bound: Optional[float] = None):
-    """The lazy Glauber chain's eigenvalue bound on ``graph``: (lazy lambda, source).
+def coloring_lambda(graph: Graph, k: int, lambda_bound: Optional[float] = None, support: Optional[Sequence] = None):
+    """The lazy Glauber chain's eigenvalue bound on ``graph``: (lazy lambda, source), or None.
 
-    The raw chain's second absolute eigenvalue is bounded by, in this order:
-
-    * ``caller``: ``lambda_bound``, the caller's bound, which must lie in [0, 1);
-    * ``jerrum``: 1 - (k - 2 d_max)/(k n) when k >= 2 d_max + 1.  Path coupling
-      (Jerrum 1995; Bubley and Dyer 1997) contracts the Hamming distance by
-      that factor per step, and a contraction bounds every non-unit
-      eigenvalue (Levin, Peres and Wilmer, Thm 13.1);
-    * ``heuristic``: 1 - 1/(n^2 k), which is unproven and false on some
-      graphs (the star K1,4 at k=3).
-
-    The hold makes the bound (1 + L)/2.
+    The first that applies: ``caller``, ``lambda_bound``, the caller's bound on the raw chain,
+    which must lie in [0, 1); ``jerrum``, raw 1 - (k - 2 d_max)/(k n) when k >= 2 d_max + 1,
+    as path coupling contracts the Hamming distance by that factor per step (Jerrum 1995;
+    Bubley and Dyer 1997) and a contraction bounds every non-unit eigenvalue (Levin, Peres
+    and Wilmer, Thm 13.1); ``exact``, given ``support``, ``_marginal_lambda``.  The hold
+    makes a raw bound L the lazy (1 + L)/2.
     """
     if lambda_bound is not None:
-        raw = checked_lambda(float(lambda_bound))
-        source = "caller"
+        raw, source = checked_lambda(float(lambda_bound)), "caller"
     elif k >= 2 * graph.d_max + 1:
-        raw = 1.0 - (k - 2 * graph.d_max) / (k * graph.n)
-        source = "jerrum"
+        raw, source = 1.0 - (k - 2 * graph.d_max) / (k * graph.n), "jerrum"
     else:
-        raw = 1.0 - 1.0 / (graph.n ** 2 * k)
-        source = "heuristic"
+        return None if support is None else (_marginal_lambda(graph, k, support), "exact")
     return 0.5 * (1.0 + raw), source
+
+
+def _marginal_lambda(graph: Graph, k: int, support: Sequence) -> float:
+    """The second eigenvalue of the lazy chain's marginal on ``support``, a union of components.
+
+    That marginal is (1 - s) I + s L, with s = |support|/n and L the lazy chain on the induced
+    graph, symmetric as its stationary law is uniform: so it is 1 - s (1 - lambda_L).  Above the
+    ergodicity floor each vertex keeps two colors, so a support with 2^|support| > ``MATRIX_CAP``
+    is refused at once, and any other past the cap by enumeration, by a GuardError.
+    """
+    local = {v: i for i, v in enumerate(support)}
+    try:
+        if 2 ** len(local) > MATRIX_CAP:
+            raise GuardError(f"at least 2^{len(local)} states, above {MATRIX_CAP}")
+        _, lazy = exact_glauber_matrix(Graph(len(local), tuple((local[u], local[v]) for u, v in graph.edges
+                                                               if u in local)), k, lazy=True)
+    except GuardError as exc:
+        raise GuardError(f"no proven eigenvalue bound at k={k}: Jerrum's needs k >= {2 * graph.d_max + 1}, and "
+                         f"the exact chain on a {len(local)}-vertex support is refused ({exc}); "
+                         "pass a proven bound with --lambda") from None
+    return 1.0 - len(local) / graph.n * (1.0 - float(np.linalg.eigvalsh(lazy)[-2]))
 
 
 def _jerrum_last_edge(n: int, k: int, order: tuple) -> tuple:
@@ -497,39 +504,26 @@ def jvv_count(
 ) -> CountResult:
     """Estimate the number of proper k-colorings by the telescoping product.
 
-    The phases walk the prefixes of one edge order: phase i samples the graph
-    made of the first i - 1 edges and estimates the chance that edge i's
-    endpoints differ.  The order is the graph's edge order; without a caller
-    bound, ``_jerrum_last_edge`` may move one hub edge last.
+    Phase i samples the graph made of the first i - 1 edges of one order (the
+    graph's, where ``_jerrum_last_edge`` may move one hub edge last without a
+    caller bound) and estimates the chance that edge i's endpoints differ, to
+    additive precision epsilon/#E with failure budget delta/#E, so the union
+    bound gives total failure at most delta.  It walks the lazy chain's
+    marginal on its support from the greedy coloring of its sampling graph;
+    pi_min = 1/k^n lower-bounds the marginal's stationary law, a sum of the
+    whole chain's.
 
-    Each of the #E phases estimates its ratio to additive precision epsilon/#E
-    with failure budget delta/#E from a warm-started lazified single-site
-    chain; the union bound gives total failure at most delta.  ``lambda_bound``
-    is the caller's bound on the raw chain's second absolute eigenvalue.  When
-    it is omitted and Jerrum's bound covers the largest sampling graph, every
-    phase uses that one bound, as in Jerrum's scheme: the sampling graphs are
-    nested, so it holds on each, and every phase runs the same T, tau and m.
-    Otherwise each phase takes ``coloring_lambda`` of its own sampling graph,
-    so phases a proof covers keep it.  Every phase outcome records the bound
-    it used and its source.
-
-    Each phase walks the chain's marginal on its support, the components of
-    its edge's endpoints in its sampling graph, from the greedy coloring of
-    the sampling graph restricted to the support.  Three things carry over
-    from the whole chain unchanged:
-
-    * lambda: the marginal's transition operator is the whole chain's acting
-      on functions of the support, so its eigenfunctions are eigenfunctions of
-      the whole chain, and the whole chain's bound bounds it;
-    * pi_min = 1/k^n: every marginal stationary probability is a sum of the
-      whole chain's, so it still lower-bounds them;
-    * T, tau, m and the step counts: they follow from lambda, pi_min,
-      epsilon and delta alone, and the generator draws as for the whole chain.
-
-    So every path, estimate and step count is the whole chain's, bit for bit.
-    Each phase's indicator (range 1) is planned before phase 1, as its
-    ``warm_start`` or ``static_estimate`` run plans it; a count whose plans
-    total over ``STEP_CAP`` base steps is refused whole with a GuardError.
+    Given ``lambda_bound`` (the caller's, on the raw chain), or where Jerrum's
+    bound covers the largest sampling graph, every phase shares it, as in
+    Jerrum's scheme: the sampling graphs are nested and a marginal's
+    eigenvalues are the whole chain's, so it holds on each, and every phase
+    runs the same T, tau and m.  Otherwise each phase takes ``coloring_lambda``
+    of its own sampling graph and support: Jerrum's, else the exact lambda of
+    its marginal, else a GuardError.  The largest supports go first, so an
+    oversize one is refused before any eigensolve.  Every plan is made before
+    phase 1, as its ``warm_start`` or ``static_estimate`` run makes it, and a
+    count planning over ``STEP_CAP`` base steps is refused whole with a
+    GuardError (with a shared bound, before any phase is built).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -546,27 +540,32 @@ def jvv_count(
         order = _jerrum_last_edge(graph.n, k, order)
     floor = ergodicity_floor(graph, order)
     if k < floor:
-        raise GuardError(
-            f"ergodicity floor: k={k} is below the admissible minimum {floor} "
-            f"for this graph's sampling phases (degeneracy + 2)"
-        )
-    outcomes, lambdas = [], []
+        raise GuardError(f"ergodicity floor: k={k} is below the admissible minimum {floor} "
+                         f"for this graph's sampling phases (degeneracy + 2)")
+    outcomes, phases, lambdas = [], [], []
     if order:  # an edgeless graph has k^n colorings: no phase, bound or size check
         eps_i = epsilon / len(order)
         delta_i = delta / len(order)
         pi_min = 1.0 / coloring_space_size(graph.n, k)
+
+        def check_count(lams):
+            plans = [plan_mcmc_pro(1.0, lam, eps_i, delta_i, select_trace_length(lam), pi_min) if estimator ==
+                     "dynamite" else plan_static(1.0, lam, eps_i, delta_i, pi_min) for lam, _ in lams]
+            check_steps(sum(plan.steps for plan in plans), f"count of {len(order)} phases")
+
         shared = coloring_lambda(Graph(graph.n, order[:-1]), k, lambda_bound)
-        lambdas = [shared if shared[1] != "heuristic" else coloring_lambda(Graph(graph.n, order[:i]), k)
-                   for i in range(len(order))]
-        plans = [plan_mcmc_pro(1.0, lam, eps_i, delta_i, select_trace_length(lam), pi_min)
-                 if estimator == "dynamite" else plan_static(1.0, lam, eps_i, delta_i, pi_min) for lam, _ in lambdas]
-        check_steps(sum(plan.steps for plan in plans), f"count of {len(order)} phases")
+        if shared:  # every phase takes it: an oversize count is refused before any phase is built
+            check_count([shared] * len(order))
+        phases = [(g := Graph(graph.n, order[:i]), g.components_of(edge)) for i, edge in enumerate(order)]
+        lambdas = [shared or coloring_lambda(g, k) for g, _ in phases]
+        for i in sorted((i for i, lam in enumerate(lambdas) if lam is None), key=lambda i: -len(phases[i][1])):
+            lambdas[i] = coloring_lambda(phases[i][0], k, support=phases[i][1])
+        if not shared:
+            check_count(lambdas)
 
     log_count = graph.n * math.log(k)
     total_steps = 0
-    for index, (edge, (lazy_lambda, source)) in enumerate(zip(order, lambdas), 1):
-        sampling_graph = Graph(graph.n, order[:index - 1])
-        support = sampling_graph.components_of(edge)
+    for index, (edge, (sampling_graph, support), (lazy_lambda, source)) in enumerate(zip(order, phases, lambdas), 1):
         fn = _phase_indicator(edge, support)
         kernel = glauber_kernel(sampling_graph, k, support)
         start = greedy_coloring(sampling_graph, k)[list(support)]

@@ -268,6 +268,21 @@ class TestEstimate:
         assert time.perf_counter() - started < 1.0
         assert "above the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--method", "static-hoeffding", "--epsilon", "1e-200"],  # 2 eps^2 underflows to 0
+        ["estimate", "--method", "dynamite", "--epsilon", "1e-300"],  # the schedule's sizes overflow
+        ["count-colorings", "--k", "5", "--epsilon", "1e-300"],
+    ], ids=["static-hoeffding", "dynamite", "count-colorings"])
+    def test_a_tiny_epsilon_exits_three_before_sizing(self, command, tmp_path, capsys):
+        if command[0] == "estimate":
+            command += ["--chain", "cycle", "--n", "8", "--fn", "cycle-f", "--i", "1", "--delta", "0.1"]
+        else:
+            path = tmp_path / "path3.json"
+            path.write_text(json.dumps(dm.Graph(3, ((0, 1), (1, 2))).to_json()))
+            command += ["--graph", str(path)]
+        assert run_cli(command) == EXIT_GUARD
+        assert "plans over R/epsilon base steps, above the cap" in capsys.readouterr().err
+
 
 class TestCountColorings:
     @pytest.fixture()
@@ -287,7 +302,7 @@ class TestCountColorings:
         payload = read_json(out)
         assert payload["exact"] == 18
         assert payload["relative_error"] <= 0.3
-        assert [p["lambda_source"] for p in payload["phases"]] == ["jerrum", "jerrum", "heuristic", "heuristic"]
+        assert [p["lambda_source"] for p in payload["phases"]] == ["jerrum", "jerrum", "exact", "exact"]
 
     def test_edgeless_graph_is_exact_and_free(self, tmp_path):
         path = tmp_path / "edgeless.json"
@@ -376,31 +391,36 @@ class TestCountColorings:
         assert "int16" in capsys.readouterr().err
 
     @pytest.mark.parametrize("estimator", ("dynamite", "static-hoeffding"))
-    def test_oversize_count_exits_three_before_sampling(self, estimator, tmp_path, capsys, monkeypatch):
-        # phase 1 of a 500-vertex path at k=3 plans ~1e10 steps or more with either estimator
-        path = tmp_path / "path500.json"
-        path.write_text(json.dumps(dm.Graph(500, tuple((i, i + 1) for i in range(499))).to_json()))
+    @pytest.mark.parametrize("graph", ("path500", "star30", "path13"))
+    def test_a_count_without_a_proven_bound_exits_three_before_sampling(self, graph, estimator, tmp_path, capsys,
+                                                                         monkeypatch):
+        # at k=3 Jerrum's bound needs max degree 1; the last phase's support is the whole
+        # connected graph, with at least 2^n > MATRIX_CAP colorings: refused with no enumeration
+        n = {"path500": 500, "star30": 31, "path13": 13}[graph]
+        edges = tuple((0, i) for i in range(1, n)) if graph == "star30" else tuple((i, i + 1) for i in range(n - 1))
+        path = tmp_path / f"{graph}.json"
+        path.write_text(json.dumps(dm.Graph(n, edges).to_json()))
 
         def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before the step cap")
+            raise AssertionError("sampled before the proof refusal")
 
         monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
         started = time.perf_counter()
         code = run_cli(["count-colorings", "--graph", str(path), "--k", "3", "--estimator", estimator])
         assert code == EXIT_GUARD
         assert time.perf_counter() - started < 1.0
-        assert "above the cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no proven eigenvalue bound" in err and f"a {n}-vertex support" in err and f"2^{n} states" in err
+        assert "--lambda" in err
 
     @pytest.mark.parametrize("graph, k, estimator, planned", [
         ("path40", 5, "dynamite", "6,035,848,884"),
         ("path40", 5, "static-hoeffding", "2,178,560,631"),
-        ("star30", 3, "dynamite", "22,944,969,356"),
-        ("star30", 3, "static-hoeffding", "12,765,565,014"),
     ])
     def test_a_count_over_the_cap_is_refused_whole_before_phase_one(self, graph, k, estimator, planned, tmp_path,
                                                                      capsys, monkeypatch):
         # every phase plans under the cap alone; their total is over it
-        edges = tuple((i, i + 1) for i in range(39)) if graph == "path40" else tuple((0, i) for i in range(1, 31))
+        edges = tuple((i, i + 1) for i in range(39))
         path = tmp_path / f"{graph}.json"
         path.write_text(json.dumps(dm.Graph(len(edges) + 1, edges).to_json()))
 

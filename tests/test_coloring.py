@@ -14,12 +14,14 @@ import dynamite as dm
 from _oracles import reference_glauber_path, reference_peel
 from dynamite.coloring import (
     _jerrum_last_edge,
+    _marginal_lambda,
     coloring_lambda,
     coloring_space_size,
     enumerate_colorings,
     render_decimal,
 )
 from dynamite.errors import GuardError, StatisticalFailure
+from dynamite.spectral import MATRIX_CAP
 
 TRIANGLE = dm.Graph(3, ((0, 1), (1, 2), (0, 2)))
 PATH3 = dm.Graph(3, ((0, 1), (1, 2)))
@@ -396,9 +398,26 @@ def star(leaves):
     return dm.Graph(leaves + 1, tuple((0, v) for v in range(1, leaves + 1)))
 
 
+def lumped_second_eigenvalue(graph, k, support):
+    """Second eigenvalue of the whole lazy chain lumped onto the colors of ``support``."""
+    states, matrix = dm.exact_glauber_matrix(graph, k, lazy=True)
+    keys = [tuple(s[v] for v in support) for s in states]
+    classes = sorted(set(keys))
+    of = np.array([classes.index(key) for key in keys])
+    lumped = matrix @ (of[:, None] == np.arange(len(classes)))
+    firsts = [int(np.flatnonzero(of == c)[0]) for c in range(len(classes))]
+    assert np.allclose(lumped, lumped[firsts][of], atol=1e-12)  # each class moves alike: the lumping is a chain
+    return float(np.sort(np.linalg.eigvals(lumped[firsts]).real)[-2])
+
+
+def small_supports(draw, graph):
+    return graph.components_of(draw(st.sets(st.integers(0, graph.n - 1), min_size=1)))
+
+
 class TestColoringLambda:
-    def test_default_is_the_lazified_heuristic(self):
-        assert coloring_lambda(C4, 3) == (0.5 * (1.0 + (1.0 - 1.0 / 48)), "heuristic")
+    def test_no_source_applies_below_jerrum_without_a_support(self):
+        assert coloring_lambda(C4, 3) is None
+        assert coloring_lambda(C4, 3, support=range(4))[1] == "exact"
 
     def test_caller_bound_is_lazified(self):
         assert coloring_lambda(C4, 3, 0.9) == (0.5 * (1.0 + 0.9), "caller")
@@ -417,15 +436,47 @@ class TestColoringLambda:
         # tight on edgeless graphs, where the exact value is 1 - 1/n
         assert second_absolute_eigenvalue(graph, k) <= 2.0 * lazy - 1.0 + 1e-12
 
-    def test_heuristic_is_false_on_the_star_k14(self):
-        lazy, source = coloring_lambda(star(4), 3)
-        assert source == "heuristic"
-        assert 2.0 * lazy - 1.0 == pytest.approx(1.0 - 1.0 / 75)  # 0.98667
-        assert second_absolute_eigenvalue(star(4), 3) == pytest.approx(0.99161, abs=1e-5)
+    def test_exact_on_the_star_k14(self):
+        lazy, source = coloring_lambda(star(4), 3, support=range(5))
+        assert source == "exact"
+        assert 2.0 * lazy - 1.0 == pytest.approx(0.99161, abs=1e-5)
+        assert 2.0 * lazy - 1.0 == pytest.approx(second_absolute_eigenvalue(star(4), 3), abs=1e-12)
+
+    @given(small_graphs(max_n=6), st.integers(min_value=0, max_value=1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_is_the_chain_lumped_onto_the_support(self, graph, extra_colors, data):
+        k = graph.degeneracy() + 2 + extra_colors
+        assume(len(list(itertools.islice(enumerate_colorings(graph, k), 201))) <= 200)
+        support = small_supports(data.draw, graph)
+        exact = _marginal_lambda(graph, k, support)
+        assert exact == pytest.approx(lumped_second_eigenvalue(graph, k, support), abs=1e-12)
+        if k < 2 * graph.d_max + 1:
+            assert coloring_lambda(graph, k, support=support) == (exact, "exact")
+
+    @given(small_graphs(max_n=5), st.integers(min_value=0, max_value=2), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_never_exceeds_jerrum(self, graph, extra_colors, data):
+        k = max(2 * graph.d_max + 1, graph.degeneracy() + 2) + extra_colors
+        assume(len(list(itertools.islice(enumerate_colorings(graph, k), 201))) <= 200)
+        lazy, source = coloring_lambda(graph, k)
+        assert source == "jerrum"
+        assert _marginal_lambda(graph, k, small_supports(data.draw, graph)) <= lazy + 1e-12
 
     def test_star_phases_leave_the_proof_after_two_edges(self):
         result = dm.jvv_count(star(5), 3, 0.9, 0.9, estimator="static-hoeffding", seed=0)
-        assert [p.lambda_source for p in result.phases] == ["jerrum"] * 2 + ["heuristic"] * 3
+        assert [p.lambda_source for p in result.phases] == ["jerrum"] * 2 + ["exact"] * 3
+
+    @pytest.mark.parametrize("graph, k, refusal", [
+        (dm.Graph(13, tuple((i, i + 1) for i in range(12))), 3, "at least 2^13 states"),
+        (star(6), 5, f"exact kernel capped at {MATRIX_CAP} states"),  # the last support: 5 * 4^5 * 5 colorings
+    ], ids=["path13", "star6"])
+    def test_a_phase_with_no_proven_bound_refuses_the_count_before_any_eigensolve(self, graph, k, refusal,
+                                                                                  monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_sampling)
+        monkeypatch.setattr(dm.TransitionKernel, "path", no_sampling)
+        with pytest.raises(GuardError, match="no proven eigenvalue bound") as info:
+            dm.jvv_count(graph, k, 0.25, 0.25)
+        assert refusal in str(info.value) and "--lambda" in str(info.value)
 
     def test_phases_share_the_bound_of_the_largest_sampling_graph(self):
         path4 = dm.Graph(4, ((0, 1), (1, 2), (2, 3)))  # largest sampling graph: the path 0-1-2, d_max 2
